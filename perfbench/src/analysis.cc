@@ -49,49 +49,36 @@ int64_t LatencyMicros(const Traffic& traffic, size_t i) {
   return out.done_us - begin;
 }
 
-void AddClientMetrics(const std::vector<const Traffic*>& traffics,
-                      RunResult* result) {
+namespace {
+
+/// Figures of consecutive windows of kOpsPerWindow completed user ops
+/// (in start order; the last window takes the rest). The run's figures
+/// are medians (latency) or upper quartiles (throughput) over windows,
+/// so that a burst of interference from outside the benchmark moves a
+/// few windows, not the run's figure.
+struct Windows {
+  std::vector<double> rates, p50s, p99s;
+  size_t ops = 0;
+};
+
+Windows SplitWindows(const std::vector<const Traffic*>& traffics,
+                     RunResult* result) {
   struct Timed {
     int64_t begin_us;
     int64_t done_us;
     double latency_us;
   };
-  std::vector<double> by_kind[kNumKinds];
-  std::vector<double> late;
-  std::vector<double> exec;
-  std::vector<double> rates, p50s, p99s;
-  uint64_t attempted = 0, failed = 0, completed = 0;
+  Windows w;
   for (const Traffic* traffic : traffics) {
     std::vector<Timed> timed;  // Completed user ops (not Checkpoint).
     for (size_t i = 0; i < traffic->ops.size(); ++i) {
-      const Op& op = traffic->ops[i];
       const Outcome& out = traffic->outs[i];
-      ++attempted;
-      if (!out.ok) {
-        ++failed;
-        continue;
-      }
+      if (!out.ok || traffic->ops[i].kind == Kind::kCheckpoint) continue;
       const int64_t latency = LatencyMicros(*traffic, i);
-      if (op.kind != Kind::kCheckpoint) {
-        timed.push_back({out.done_us - latency, out.done_us,
-                         static_cast<double>(latency)});
-      }
-      by_kind[static_cast<size_t>(op.kind)].push_back(
-          static_cast<double>(latency));
-      if (traffic->open_loop) {
-        late.push_back(
-            static_cast<double>(out.sent_us - (traffic->start_us + op.due_us)));
-      }
-      if (op.kind == Kind::kAppend && out.append.exec_micros > 0) {
-        exec.push_back(static_cast<double>(out.append.exec_micros));
-      }
+      timed.push_back(
+          {out.done_us - latency, out.done_us, static_cast<double>(latency)});
     }
-    completed += timed.size();
-
-    // The end-to-end figures are medians over consecutive windows of
-    // kOpsPerWindow ops (in start order; the last one takes the rest), so
-    // that a burst of interference from outside the benchmark moves one
-    // window, not the run's figure.
+    w.ops += timed.size();
     std::sort(timed.begin(), timed.end(), [](const Timed& a, const Timed& b) {
       return a.begin_us < b.begin_us;
     });
@@ -102,9 +89,9 @@ void AddClientMetrics(const std::vector<const Traffic*>& traffics,
                                std::to_string(kOpsPerWindow));
       continue;
     }
-    for (size_t w = 0; w < windows; ++w) {
-      const size_t lo = w * kOpsPerWindow;
-      const size_t hi = w + 1 == windows ? timed.size() : lo + kOpsPerWindow;
+    for (size_t k = 0; k < windows; ++k) {
+      const size_t lo = k * kOpsPerWindow;
+      const size_t hi = k + 1 == windows ? timed.size() : lo + kOpsPerWindow;
       std::vector<double> latency;
       int64_t end_us = timed[lo].done_us;
       for (size_t i = lo; i < hi; ++i) {
@@ -112,22 +99,74 @@ void AddClientMetrics(const std::vector<const Traffic*>& traffics,
         end_us = std::max(end_us, timed[i].done_us);
       }
       const Distribution d = Summarize(std::move(latency));
-      p50s.push_back(d.p50);
-      p99s.push_back(d.p99);
-      rates.push_back(Ratio(static_cast<double>(hi - lo),
-                            static_cast<double>(end_us - timed[lo].begin_us) /
-                                1e6));
+      w.p50s.push_back(d.p50);
+      w.p99s.push_back(d.p99);
+      w.rates.push_back(Ratio(static_cast<double>(hi - lo),
+                              static_cast<double>(end_us - timed[lo].begin_us) /
+                                  1e6));
     }
   }
-  result->attempted += attempted;
-  result->failed += failed;
+  return w;
+}
 
+std::string WindowNote(const Windows& w) {
+  return "median of " + std::to_string(w.rates.size()) + " windows";
+}
+
+}  // namespace
+
+void CountOutcomes(const Traffic& traffic, RunResult* result) {
+  for (const Outcome& out : traffic.outs) {
+    ++result->attempted;
+    if (!out.ok) ++result->failed;
+  }
+}
+
+void AddThroughput(const std::vector<const Traffic*>& traffics, double pct,
+                   RunResult* result) {
+  const Windows w = SplitWindows(traffics, result);
+  char note[64];
+  if (pct == 100) {
+    std::snprintf(note, sizeof note, "max of %zu windows", w.rates.size());
+  } else {
+    std::snprintf(note, sizeof note, "p%g of %zu windows", pct, w.rates.size());
+  }
+  result->report.Add("ops_per_s", Percentile(w.rates, pct), "1/s", w.ops,
+                     note);
+}
+
+void AddClientMetrics(const std::vector<const Traffic*>& traffics,
+                      RunResult* result) {
+  std::vector<double> by_kind[kNumKinds];
+  std::vector<double> late;
+  std::vector<double> exec;
+  const uint64_t attempted0 = result->attempted, failed0 = result->failed;
+  for (const Traffic* traffic : traffics) {
+    CountOutcomes(*traffic, result);
+    for (size_t i = 0; i < traffic->ops.size(); ++i) {
+      const Op& op = traffic->ops[i];
+      const Outcome& out = traffic->outs[i];
+      if (!out.ok) continue;
+      by_kind[static_cast<size_t>(op.kind)].push_back(
+          static_cast<double>(LatencyMicros(*traffic, i)));
+      if (traffic->open_loop) {
+        late.push_back(
+            static_cast<double>(out.sent_us - (traffic->start_us + op.due_us)));
+      }
+      if (op.kind == Kind::kAppend && out.append.exec_micros > 0) {
+        exec.push_back(static_cast<double>(out.append.exec_micros));
+      }
+    }
+  }
+  const double attempted = static_cast<double>(result->attempted - attempted0);
+  const double failed = static_cast<double>(result->failed - failed0);
+
+  const Windows w = SplitWindows(traffics, result);
   Report& r = result->report;
-  const std::string note =
-      "median of " + std::to_string(rates.size()) + " windows";
-  r.Add("ops_per_s", Median(rates), "1/s", completed, note);
-  r.Add("client.latency_p50_us", Median(p50s), "us", completed, "p50, " + note);
-  r.Add("client.latency_p99_us", Median(p99s), "us", completed, "p99, " + note);
+  r.Add("client.latency_p50_us", Median(w.p50s), "us", w.ops,
+        "p50, " + WindowNote(w));
+  r.Add("client.latency_p99_us", Median(w.p99s), "us", w.ops,
+        "p99, " + WindowNote(w));
   r.AddLatency("client.search", Summarize(by_kind[size_t(Kind::kSearch)]));
   r.AddLatency("client.recommend", Summarize(by_kind[size_t(Kind::kRecommend)]));
   r.AddLatency("client.append", Summarize(by_kind[size_t(Kind::kAppend)]));
@@ -137,11 +176,9 @@ void AddClientMetrics(const std::vector<const Traffic*>& traffics,
         checkpoint.count, "p50");
   const Distribution lateness = Summarize(late);
   r.Add("loadgen.late_p99_us", lateness.p99, "us", lateness.count, "p99");
-  r.Add("loadgen.ops_attempted", static_cast<double>(attempted), "count");
-  r.Add("loadgen.ops_failed", static_cast<double>(failed), "count");
-  r.Add("loadgen.failed_frac",
-        Ratio(static_cast<double>(failed), static_cast<double>(attempted)),
-        "ratio");
+  r.Add("loadgen.ops_attempted", attempted, "count");
+  r.Add("loadgen.ops_failed", failed, "count");
+  r.Add("loadgen.failed_frac", Ratio(failed, attempted), "ratio");
   const Distribution e = Summarize(exec);
   r.Add("profiler.exec_us_mean", e.mean, "us", e.count, "mean");
 }

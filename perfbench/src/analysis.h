@@ -30,10 +30,20 @@ struct Traffic {
 /// or its send time (closed loop) to its response.
 int64_t LatencyMicros(const Traffic& traffic, size_t i);
 
-/// ops_per_s, the latency of all ops (client.latency_*) and per op
-/// (client.<op>_*), storage.checkpoint_rtt_ms_p50 and loadgen.*
-/// over one or more passes of a workload; counts attempts and failures
-/// into `result`.
+/// Adds the traffic's attempts and failures to `result`.
+void CountOutcomes(const Traffic& traffic, RunResult* result);
+
+/// ops_per_s: completed ops per wall second, percentile `pct` over
+/// windows of kOpsPerWindow ops of one or more passes. Interference from
+/// outside the benchmark only ever slows a window, and slows some windows
+/// and not others; a slower program slows them all.
+void AddThroughput(const std::vector<const Traffic*>& traffics, double pct,
+                   RunResult* result);
+
+/// The latency of all ops (client.latency_*, median over the same
+/// windows) and per op (client.<op>_*), storage.checkpoint_rtt_ms_p50,
+/// profiler.exec_us_mean and loadgen.* over one or more passes of a
+/// workload; counts attempts and failures into `result`.
 void AddClientMetrics(const std::vector<const Traffic*>& traffics,
                       RunResult* result);
 

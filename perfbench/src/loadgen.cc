@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "common/binary_codec.h"
 #include "stats.h"
 
 namespace perfbench {
@@ -26,44 +27,121 @@ void FillStatus(const cqms::Status& s, Outcome* out) {
   if (!s.ok()) out->error = s.ToString();
 }
 
+net::Op WireOp(Kind kind) {
+  switch (kind) {
+    case Kind::kSearch:
+      return net::Op::kSearch;
+    case Kind::kRecommend:
+      return net::Op::kRecommend;
+    case Kind::kAppend:
+      return net::Op::kAppend;
+    case Kind::kAnnotate:
+      return net::Op::kAnnotate;
+    case Kind::kSetVisibility:
+      return net::Op::kSetVisibility;
+    case Kind::kCheckpoint:
+      return net::Op::kCheckpoint;
+  }
+  std::abort();
+}
+
 }  // namespace
 
-uint64_t ClientChannel::Send(const Op& op) {
+void ClientChannel::Send(const Op& op, storage::QueryId target,
+                         Outcome* out) {
+  uint64_t id = 0;
+  cqms::BinaryWriter raw;
   switch (op.kind) {
     case Kind::kSearch: {
       net::SearchSpec spec = op.spec;
       spec.want_trace = want_trace_;
-      return client_->SendSearch(op.user, spec);
+      id = client_->SendSearch(op.user, spec);
+      break;
     }
     case Kind::kRecommend:
-      return client_->SendRecommend(op.user, op.text, 5);
+      id = client_->SendRecommend(op.user, op.text, 5);
+      break;
     case Kind::kAppend: {
       net::AppendRequest req;
       req.user = op.user;
       req.sql = op.text;
       req.execute = execute_;
-      return client_->SendAppend(req);
+      id = client_->SendAppend(req);
+      break;
     }
-    default:
-      std::fprintf(stderr, "op %s cannot be pipelined\n", KindName(op.kind));
-      std::abort();
+    case Kind::kAnnotate: {
+      id = next_raw_id_++;
+      net::AnnotateRequest req;
+      req.id = target;
+      req.author = op.user;
+      req.text = op.text;
+      net::BeginRequest(&raw, id, WireOp(op.kind));
+      net::EncodeAnnotateRequest(&raw, req);
+      break;
+    }
+    case Kind::kSetVisibility: {
+      id = next_raw_id_++;
+      net::SetVisibilityRequest req;
+      req.requester = op.user;
+      req.id = target;
+      req.visibility = op.visibility;
+      net::BeginRequest(&raw, id, WireOp(op.kind));
+      net::EncodeSetVisibilityRequest(&raw, req);
+      break;
+    }
+    case Kind::kCheckpoint:
+      id = next_raw_id_++;
+      net::BeginRequest(&raw, id, WireOp(op.kind));
+      break;
   }
+  // SendRawPayload writes the buffered requests too, in order; a write
+  // error is sticky and fails the reads that follow.
+  if (!raw.data().empty()) client_->SendRawPayload(raw.data());
+  pending_[id] = {op.kind, out};
 }
 
-void ClientChannel::Wait(const Op& op, uint64_t id, Outcome* out) {
-  switch (op.kind) {
+Outcome* ClientChannel::Receive() {
+  cqms::Result<std::string> payload = client_->ReadRawPayload();
+  net::ResponseEnvelope env;
+  if (!payload.ok() || !net::DecodeResponseEnvelope(*payload, &env) ||
+      pending_.count(env.request_id) == 0) {
+    // The response stream is unusable (a broken link fails every later
+    // read at once): charge the oldest outstanding request.
+    const auto oldest = pending_.begin();
+    Outcome* out = oldest->second.out;
+    pending_.erase(oldest);
+    out->ok = false;
+    out->error = payload.ok() ? "malformed or unexpected response"
+                              : payload.status().ToString();
+    return out;
+  }
+  const auto it = pending_.find(env.request_id);
+  const Kind kind = it->second.kind;
+  Outcome* out = it->second.out;
+  pending_.erase(it);
+  if (!env.ok()) {
+    out->ok = false;
+    out->error = env.ToStatus().ToString();
+    return out;
+  }
+  cqms::BinaryReader r(env.body);
+  bool decoded = env.op == WireOp(kind);
+  switch (kind) {
     case Kind::kSearch:
-      Fill(client_->WaitSearch(id), &out->search, out);
+      decoded = decoded && net::DecodeSearchResult(&r, &out->search);
       break;
     case Kind::kRecommend:
-      Fill(client_->WaitRecommend(id), &out->recommend, out);
+      decoded = decoded && net::DecodeRecommendResult(&r, &out->recommend);
       break;
     case Kind::kAppend:
-      Fill(client_->WaitAppend(id), &out->append, out);
+      decoded = decoded && net::DecodeAppendResult(&r, &out->append);
       break;
-    default:
-      std::abort();
+    default:  // An OK status is the whole answer.
+      break;
   }
+  out->ok = decoded && r.AtEnd();
+  if (!out->ok) out->error = "malformed response body";
+  return out;
 }
 
 std::unique_ptr<cqms::netclient::CqmsClient> ConnectOrDie(uint16_t port) {
@@ -80,25 +158,25 @@ std::unique_ptr<cqms::netclient::CqmsClient> ConnectOrDie(uint16_t port) {
 void RunOpenLoop(Channel* channel, const std::vector<const Op*>& ops,
                  int64_t start_us, const std::vector<Outcome*>& outs) {
   const size_t n = ops.size();
-  std::vector<uint64_t> ids(n);
-  size_t next = 0;    // First op not yet sent.
-  size_t oldest = 0;  // First op whose response is outstanding.
-  while (oldest < n) {
+  size_t next = 0;         // First op not yet sent.
+  size_t outstanding = 0;  // Sent ops whose response has not arrived.
+  while (next < n || outstanding > 0) {
     const int64_t now = NowMicros();
     bool sent = false;
     while (next < n && start_us + ops[next]->due_us <= now) {
-      ids[next] = channel->Send(*ops[next]);
+      channel->Send(*ops[next], storage::kInvalidQueryId, outs[next]);
       outs[next]->sent_us = now;
       ++next;
+      ++outstanding;
       sent = true;
     }
-    // A failed flush means a dead link: the waits below then fail fast
-    // with the client's sticky transport error and count as failed.
+    // A failed flush means a dead link: the receives below then fail
+    // fast with the client's sticky transport error and count as failed.
     if (sent) channel->Flush();
-    if (oldest < next) {
-      channel->Wait(*ops[oldest], ids[oldest], outs[oldest]);
-      outs[oldest]->done_us = NowMicros();
-      ++oldest;
+    if (outstanding > 0) {
+      Outcome* out = channel->Receive();
+      out->done_us = NowMicros();
+      --outstanding;
     } else if (next < n) {
       const int64_t due = start_us + ops[next]->due_us;
       std::this_thread::sleep_for(std::chrono::microseconds(due - NowMicros()));

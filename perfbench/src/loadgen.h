@@ -2,6 +2,7 @@
 #define PERFBENCH_LOADGEN_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,18 +25,28 @@ struct Outcome {
   net::AppendResult append;
 };
 
-/// One connection as the open loop drives it: buffer a request, push the
-/// buffered batch down the socket, block for one response.
+/// One pipelined connection: buffer a request, push the buffered batch
+/// down the socket, block for whichever response arrives next.
 class Channel {
  public:
   virtual ~Channel() = default;
-  virtual uint64_t Send(const Op& op) = 0;
+  /// Buffers `op`'s request; its response is decoded into `out`.
+  /// `target` is the query an Annotate or SetVisibility acts on.
+  virtual void Send(const Op& op, storage::QueryId target, Outcome* out) = 0;
   virtual bool Flush() = 0;
-  virtual void Wait(const Op& op, uint64_t id, Outcome* out) = 0;
+  /// Blocks for the next response to arrive, in whatever order the
+  /// server answers, fills the outcome given with its request and
+  /// returns it. Only called while a request is outstanding.
+  virtual Outcome* Receive() = 0;
 };
 
-/// Channel over a netclient::CqmsClient (pipelined Search, Recommend and
-/// Append). `want_trace` asks the server for planner traces on searches;
+/// Channel over a netclient::CqmsClient. Search, Recommend and Append go
+/// through the client's Send* calls; Annotate, SetVisibility and
+/// Checkpoint, which it has no Send* for, are encoded with the net codecs
+/// and sent with SendRawPayload. Responses are read in arrival order with
+/// ReadRawPayload and decoded with the net codecs, so no response waits
+/// behind a slower one.
+/// `want_trace` asks the server for planner traces on searches;
 /// `execute` is the Append mode.
 class ClientChannel : public Channel {
  public:
@@ -43,14 +54,24 @@ class ClientChannel : public Channel {
                 bool execute)
       : client_(client), want_trace_(want_trace), execute_(execute) {}
 
-  uint64_t Send(const Op& op) override;
+  void Send(const Op& op, storage::QueryId target, Outcome* out) override;
   bool Flush() override { return client_->Flush().ok(); }
-  void Wait(const Op& op, uint64_t id, Outcome* out) override;
+  Outcome* Receive() override;
 
  private:
+  struct Pending {
+    Kind kind;
+    Outcome* out;
+  };
+
   cqms::netclient::CqmsClient* client_;
   bool want_trace_;
   bool execute_;
+  /// Outstanding requests by request id.
+  std::map<uint64_t, Pending> pending_;
+  /// Request ids of raw payloads, far above the client's own (which count
+  /// up from 1).
+  uint64_t next_raw_id_ = uint64_t{1} << 48;
 };
 
 /// Connects to the loopback daemon; exits the process on failure (the
@@ -58,11 +79,12 @@ class ClientChannel : public Channel {
 std::unique_ptr<cqms::netclient::CqmsClient> ConnectOrDie(uint16_t port);
 
 /// Open loop over one connection: sends every op at `start_us + due_us`
-/// whether or not earlier responses have arrived, and collects responses
-/// oldest first. While the thread blocks on a response, ops falling due
-/// are sent as soon as it returns; their latency is charged from the due
-/// time, so a stalled response shows in every request queued behind it.
-/// `ops` must be in due order; `outs[i]` receives op i's outcome.
+/// whether or not earlier responses have arrived, and stamps each
+/// response as it arrives. While the thread blocks on a response, ops
+/// falling due are sent as soon as it returns; their latency is charged
+/// from the due time, so a stalled response shows in every request queued
+/// behind it. `ops` must be in due order; `outs[i]` receives op i's
+/// outcome.
 void RunOpenLoop(Channel* channel, const std::vector<const Op*>& ops,
                  int64_t start_us, const std::vector<Outcome*>& outs);
 

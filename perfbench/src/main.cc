@@ -7,11 +7,7 @@
 // Prints one line per metric, then, as the last line, a JSON object
 // {"correct", "attempted", "failed", "metrics"} holding the end-to-end
 // metrics (--trace 0) or the per-layer metrics (--trace 1). Exits 1
-// when a correctness check fails. With --setup-only 1 it only builds the
-// workload's starting state once and prints the seconds that took (the
-// extra setup_s samples of a --trace 0 run come from such children).
-
-#include <unistd.h>
+// when a correctness check fails.
 
 #include <chrono>
 #include <csignal>
@@ -130,41 +126,10 @@ class Watchdog {
   std::thread thread_;
 };
 
-/// Runs `perfbench --setup-only` `count` times, one child process after
-/// the other, and returns the setup time each one printed.
-std::vector<double> ChildSetupTimes(const Config& config, int count,
-                                    std::vector<std::string>* errors) {
-  char self[4096];
-  const ssize_t len = ::readlink("/proc/self/exe", self, sizeof(self) - 1);
-  if (len <= 0) {
-    errors->push_back("cannot locate the perfbench binary for setup runs");
-    return {};
-  }
-  self[len] = '\0';
-  const std::string cmd =
-      std::string("'") + self + "' --workload " + config.workload +
-      " --seed " + std::to_string(config.seed) + " --seconds " +
-      std::to_string(config.seconds) + " --trace 0 --work-dir '" +
-      config.work_dir + "' --setup-only 1";
-  std::vector<double> times;
-  for (int k = 0; k < count; ++k) {
-    FILE* child = ::popen(cmd.c_str(), "r");
-    double seconds = 0;
-    const bool parsed = child != nullptr && std::fscanf(child, "%lf", &seconds) == 1;
-    const int status = child != nullptr ? ::pclose(child) : -1;
-    if (!parsed || status != 0) {
-      errors->push_back("setup run " + std::to_string(k) + " failed");
-      continue;
-    }
-    times.push_back(seconds);
-  }
-  return times;
-}
-
 [[noreturn]] void Usage(const char* msg) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload NAME --seed N "
-               "--seconds S --trace 0|1 --work-dir DIR [--setup-only 1]\n",
+               "--seconds S --trace 0|1 --work-dir DIR\n",
                msg);
   std::exit(2);
 }
@@ -196,7 +161,6 @@ void PrintJson(bool correct, const RunResult& r, const MetricSpec (&specs)[N]) {
 int Main(int argc, char** argv) {
   Config config;
   int trace = -1;
-  bool setup_only = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (i + 1 >= argc) Usage(("missing value for " + arg).c_str());
@@ -211,8 +175,6 @@ int Main(int argc, char** argv) {
       trace = std::atoi(value);
     } else if (arg == "--work-dir") {
       config.work_dir = value;
-    } else if (arg == "--setup-only") {
-      setup_only = std::atoi(value) != 0;
     } else {
       Usage(("unknown argument " + arg).c_str());
     }
@@ -231,11 +193,6 @@ int Main(int argc, char** argv) {
   // hosting the daemon.
   std::signal(SIGPIPE, SIG_IGN);
 
-  if (setup_only) {
-    std::printf("%.6f\n", TimeSetup(config));
-    return 0;
-  }
-
   std::vector<std::string> errors = RunSelfTests();
   std::printf("perfbench %s seed=%llu seconds=%d trace=%d workers=%zu "
               "connections=%u\n",
@@ -244,16 +201,15 @@ int Main(int argc, char** argv) {
               trace, kServerWorkers, kConns);
   RunResult result;
   if (trace == 0) {
-    // setup_s is the median over fresh processes: the extra setups run
-    // first, in children, then the run's own.
-    std::vector<double> setups = ChildSetupTimes(
-        config,
-        config.workload == "durable_ingest" ? kExtraClusterSetups
-                                            : kExtraLabSetups,
-        &errors);
     result = run(config);
-    setups.push_back(result.report.Get("setup_s"));
-    result.report.Put({"setup_s", Median(setups), "s", setups.size(), "median"});
+    // The extra setups run after the pass, so that they stay out of its
+    // rss_peak_mb.
+    const size_t samples = config.workload == "durable_ingest"
+                               ? kClusterSetups
+                               : kLabSetups;
+    while (result.setups.size() < samples) {
+      result.setups.push_back(TimeSetup(config));
+    }
   } else {
     // Per-layer numbers come from a traced pass; the untraced pass of
     // the same script gives the client-side split and the baseline for
@@ -272,11 +228,15 @@ int Main(int argc, char** argv) {
       m.note += ", untraced";
       result.report.Put(m);
     }
+    result.setups.insert(result.setups.end(), plain.setups.begin(),
+                         plain.setups.end());
     result.attempted += plain.attempted;
     result.failed += plain.failed;
     result.errors.insert(result.errors.end(), plain.errors.begin(),
                          plain.errors.end());
   }
+  result.report.Add("setup_s", Median(result.setups), "s",
+                    result.setups.size(), "median");
   errors.insert(errors.end(), result.errors.begin(), result.errors.end());
 
   for (const Metric& m : result.report.metrics()) PrintMetric(m);

@@ -1,8 +1,9 @@
 #include "report.h"
 
-#include <sys/resource.h>
+#include <malloc.h>
 
 #include <cstdio>
+#include <fstream>
 
 namespace perfbench {
 
@@ -83,10 +84,27 @@ double RegistryDelta::HistogramCount(const std::string& family) const {
   return Delta(family, [](const cqms::obs::MetricSample& s) { return s.count; });
 }
 
+bool ResetPeakRss() {
+  ::malloc_trim(0);
+  std::ofstream f("/proc/self/clear_refs");
+  f << "5";  // Reset the peak RSS (VmHWM) to the current RSS.
+  f.flush();
+  return f.good();
+}
+
 double PeakRssMb() {
-  struct rusage usage;
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB.
+  // getrusage's ru_maxrss is never reset, so read VmHWM instead.
+  std::ifstream f("/proc/self/status");
+  std::string key;
+  double kib = 0;
+  while (f >> key) {
+    if (key == "VmHWM:") {
+      f >> kib;
+      break;
+    }
+    f.ignore(1 << 20, '\n');
+  }
+  return kib / 1024.0;
 }
 
 }  // namespace perfbench

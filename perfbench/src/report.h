@@ -67,7 +67,13 @@ class RegistryDelta {
 /// x / y, or 0 when y is 0 (ratios over work that did not happen).
 inline double Ratio(double x, double y) { return y == 0 ? 0 : x / y; }
 
-/// Peak resident set size of this process, in MiB.
+/// Returns freed heap to the system and restarts this process's peak
+/// resident set size at its current size (Linux clear_refs). False if
+/// the kernel refused.
+bool ResetPeakRss();
+
+/// Peak resident set size of this process since the last ResetPeakRss,
+/// in MiB.
 double PeakRssMb();
 
 }  // namespace perfbench

@@ -1,6 +1,7 @@
 #include "selftest.h"
 
 #include <chrono>
+#include <map>
 #include <thread>
 
 #include "analysis.h"
@@ -61,29 +62,42 @@ void CheckPercentiles(std::vector<std::string>* errors) {
   }
 }
 
-/// A connection whose first response stalls for `stall_us`.
-class StallingChannel : public Channel {
+/// A connection that answers request k `delay_us[k]` after it was sent
+/// (at once past the end of the list), in order of readiness, as the
+/// daemon's workers answer out of order.
+class ScriptedChannel : public Channel {
  public:
-  explicit StallingChannel(int64_t stall_us) : stall_us_(stall_us) {}
-  uint64_t Send(const Op&) override { return next_id_++; }
+  explicit ScriptedChannel(std::vector<int64_t> delay_us)
+      : delay_us_(std::move(delay_us)) {}
+  void Send(const Op&, storage::QueryId, Outcome* out) override {
+    const int64_t delay = sent_ < delay_us_.size() ? delay_us_[sent_] : 0;
+    ++sent_;
+    pending_.emplace(NowMicros() + delay, out);
+  }
   bool Flush() override { return true; }
-  void Wait(const Op&, uint64_t id, Outcome* out) override {
-    if (id == 0) std::this_thread::sleep_for(std::chrono::microseconds(stall_us_));
+  Outcome* Receive() override {
+    const auto first = pending_.begin();
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(first->first - NowMicros()));
+    Outcome* out = first->second;
+    pending_.erase(first);
     out->ok = true;
+    return out;
   }
 
  private:
-  int64_t stall_us_;
-  uint64_t next_id_ = 0;
+  std::vector<int64_t> delay_us_;
+  size_t sent_ = 0;
+  std::multimap<int64_t, Outcome*> pending_;  ///< By ready time.
 };
 
-void CheckOpenLoopCharging(std::vector<std::string>* errors) {
-  constexpr int64_t kStallUs = 30000;
+/// An open loop over ops due at `due_us`, answered by `channel`.
+Traffic RunScripted(const std::vector<int64_t>& due_us, Channel* channel) {
   Traffic traffic;
   traffic.open_loop = true;
-  for (int i = 0; i < 5; ++i) {
+  for (int64_t due : due_us) {
     Op op;
-    op.due_us = i * 2000;
+    op.due_us = due;
     traffic.ops.push_back(op);
   }
   traffic.outs.resize(traffic.ops.size());
@@ -93,16 +107,32 @@ void CheckOpenLoopCharging(std::vector<std::string>* errors) {
     ops.push_back(&traffic.ops[i]);
     outs.push_back(&traffic.outs[i]);
   }
-  StallingChannel channel(kStallUs);
   traffic.start_us = NowMicros();
-  RunOpenLoop(&channel, ops, traffic.start_us, outs);
-  // Every op due before the stalled response returned waited for it; its
-  // latency from the due time must include the rest of the stall.
+  RunOpenLoop(channel, ops, traffic.start_us, outs);
+  return traffic;
+}
+
+void CheckOpenLoopCharging(std::vector<std::string>* errors) {
+  constexpr int64_t kStallUs = 30000;
+  // The first response stalls; every op due before it returned waited
+  // for it, and its latency from the due time must include the rest of
+  // the stall.
+  ScriptedChannel stalling({kStallUs});
+  Traffic traffic = RunScripted({0, 2000, 4000, 6000, 8000}, &stalling);
   for (size_t i = 0; i < traffic.ops.size(); ++i) {
     if (LatencyMicros(traffic, i) < kStallUs - traffic.ops[i].due_us) {
       errors->push_back("selftest: open-loop op " + std::to_string(i) +
                         " is not charged from its due time");
     }
+  }
+  // Two requests in flight together: the second is answered at once and
+  // must be stamped when it arrives, not behind the stalled first one.
+  ScriptedChannel out_of_order({kStallUs, 0});
+  traffic = RunScripted({0, 0}, &out_of_order);
+  if (LatencyMicros(traffic, 1) >= kStallUs / 2 ||
+      LatencyMicros(traffic, 0) < kStallUs) {
+    errors->push_back(
+        "selftest: open-loop responses are not stamped in arrival order");
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 namespace perfbench {
 
@@ -45,10 +46,12 @@ Distribution Summarize(std::vector<double> samples) {
   return d;
 }
 
-double Median(std::vector<double> v) {
+double Percentile(std::vector<double> v, double pct) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
-  return NearestRank(v, 50);
+  return NearestRank(v, pct);
 }
+
+double Median(std::vector<double> v) { return Percentile(std::move(v), 50); }
 
 }  // namespace perfbench

@@ -32,6 +32,8 @@ struct Distribution {
 
 Distribution Summarize(std::vector<double> samples);
 
+/// Nearest-rank percentile `pct` (0-100] of `v`; 0 when `v` is empty.
+double Percentile(std::vector<double> v, double pct);
 double Median(std::vector<double> v);
 
 }  // namespace perfbench

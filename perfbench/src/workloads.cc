@@ -115,6 +115,45 @@ void SetEnd(Traffic* traffic) {
   }
 }
 
+/// Closed loop: every connection runs its ops one at a time, each sent
+/// when the previous one's response is back. Annotations and visibility
+/// changes target the connection's own earlier appends.
+void RunClosedLoop(
+    const std::vector<std::unique_ptr<cqms::netclient::CqmsClient>>& clients,
+    bool want_trace, bool execute, Traffic* traffic) {
+  std::vector<std::thread> threads;
+  for (uint32_t c = 0; c < clients.size(); ++c) {
+    threads.emplace_back([&, c] {
+      std::vector<const Op*> ops;
+      std::vector<Outcome*> outs;
+      OpsOfConn(traffic, c, &ops, &outs);
+      std::vector<storage::QueryId> own;  // This connection's appends.
+      for (size_t i = 0; i < ops.size(); ++i) {
+        const storage::QueryId target =
+            ops[i]->target < own.size() ? own[ops[i]->target]
+                                        : storage::kInvalidQueryId;
+        CallOnce(clients[c].get(), *ops[i], want_trace, execute, target,
+                 outs[i]);
+        if (ops[i]->kind == Kind::kAppend) {
+          own.push_back(outs[i]->ok ? outs[i]->append.id
+                                    : storage::kInvalidQueryId);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  SetEnd(traffic);
+}
+
+/// rss_peak_mb counts from here: the daemon's build and run, not the
+/// throwaway instances the scripts were generated on.
+void StartPeakRss(RunResult* result) {
+  if (!ResetPeakRss()) {
+    result->errors.push_back(
+        "cannot reset the peak RSS (/proc/self/clear_refs)");
+  }
+}
+
 void CheckExploreOracle(const cqms::Cqms& cqms, const Traffic& traffic,
                         RunResult* result) {
   size_t checked = 0, mismatched = 0;
@@ -166,15 +205,16 @@ void CheckExploreOracle(const cqms::Cqms& cqms, const Traffic& traffic,
 
 RunResult RunExploreRead(const Config& config) {
   RunResult result;
+  StartPeakRss(&result);
   double setup_s = 0;
   LabDaemon d = SetUpLabDaemon(config, &setup_s);
-  result.report.Add("setup_s", setup_s, "s", 1);
+  result.setups.push_back(setup_s);
   cqms::Cqms* cqms = d.lab->cqms.get();
 
   Traffic traffic;
   traffic.open_loop = true;
   traffic.ops = BuildExploreScript(*cqms->store(), config.seed,
-                                   OpBudget(kExploreRatePerS, config),
+                                   OpBudget(kExploreOpenOpsPerS, config),
                                    kExploreRatePerS, kConns);
   traffic.outs.resize(traffic.ops.size());
 
@@ -202,11 +242,31 @@ RunResult RunExploreRead(const Config& config) {
   probe.End(*d.server);
 
   AddClientMetrics({&traffic}, &result);
-  result.report.Add("rss_peak_mb", PeakRssMb(), "MiB");
   AnalyzeLayers(config, cqms, traffic, probe, &result.report);
   // The store is static, so every sampled wire answer must equal the
   // in-process one.
   CheckExploreOracle(*cqms, traffic, &result);
+  // Read before the saturation pass: the store is static, so that pass
+  // would only add the load generator's outcomes to the peak.
+  result.report.Add("rss_peak_mb", PeakRssMb(), "MiB");
+
+  // The open loop offers a fixed rate, so its throughput is the
+  // schedule's. ops_per_s comes from a saturation pass over a script of
+  // its own (same mix, another seed), each of kSaturationConns
+  // connections keeping one request outstanding (closed loop).
+  if (!config.quick) {
+    Traffic saturation;
+    saturation.ops = BuildExploreScript(
+        *cqms->store(), config.seed ^ 0x5a7, OpBudget(kSaturationOpsPerS, config),
+        kExploreRatePerS, kSaturationConns);
+    saturation.outs.resize(saturation.ops.size());
+    clients.resize(kSaturationConns);
+    saturation.start_us = NowMicros();
+    RunClosedLoop(clients, false, false, &saturation);
+    CountOutcomes(saturation, &result);
+    AddThroughput({&saturation}, kThroughputPct, &result);
+    CheckExploreOracle(*cqms, saturation, &result);
+  }
   clients.clear();
   d.server->Shutdown();
   return result;
@@ -214,18 +274,20 @@ RunResult RunExploreRead(const Config& config) {
 
 RunResult RunSessionMixed(const Config& config) {
   RunResult result;
-  double setup_s = 0;
-  LabDaemon d = SetUpLabDaemon(config, &setup_s);
-  result.report.Add("setup_s", setup_s, "s", 1);
-  cqms::Cqms* cqms = d.lab->cqms.get();
-
   const size_t n = OpBudget(kSessionOpsPerS, config);
   Traffic traffic;
-  // About 0.35 n appends at ~6 queries per session, with headroom.
+  // About 0.35 n appends at ~6 queries per session, with headroom. The
+  // queries come from a throwaway instance, built and freed before the
+  // measured daemon so that it stays out of rss_peak_mb.
   traffic.ops = BuildSessionScript(
       GenerateSessionQueries(n / 10 + 4 * kConns, config.seed ^ 0x5e55),
       config.seed, n, kConns);
   traffic.outs.resize(traffic.ops.size());
+  StartPeakRss(&result);
+  double setup_s = 0;
+  LabDaemon d = SetUpLabDaemon(config, &setup_s);
+  result.setups.push_back(setup_s);
+  cqms::Cqms* cqms = d.lab->cqms.get();
 
   std::vector<std::unique_ptr<cqms::netclient::CqmsClient>> clients;
   for (uint32_t c = 0; c < kConns; ++c) {
@@ -234,31 +296,11 @@ RunResult RunSessionMixed(const Config& config) {
   LayerProbe probe;
   probe.Begin(*d.server);
   traffic.start_us = NowMicros();
-  std::vector<std::thread> threads;
-  for (uint32_t c = 0; c < kConns; ++c) {
-    threads.emplace_back([&, c] {
-      std::vector<const Op*> ops;
-      std::vector<Outcome*> outs;
-      OpsOfConn(&traffic, c, &ops, &outs);
-      std::vector<storage::QueryId> own;  // This connection's appends.
-      for (size_t i = 0; i < ops.size(); ++i) {
-        const storage::QueryId target =
-            ops[i]->target < own.size() ? own[ops[i]->target]
-                                        : storage::kInvalidQueryId;
-        CallOnce(clients[c].get(), *ops[i], config.traced, true, target,
-                 outs[i]);
-        if (ops[i]->kind == Kind::kAppend) {
-          own.push_back(outs[i]->ok ? outs[i]->append.id
-                                    : storage::kInvalidQueryId);
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  SetEnd(&traffic);
+  RunClosedLoop(clients, config.traced, true, &traffic);
   probe.End(*d.server);
 
   AddClientMetrics({&traffic}, &result);
+  AddThroughput({&traffic}, kThroughputPct, &result);
   result.report.Add("rss_peak_mb", PeakRssMb(), "MiB");
   AnalyzeLayers(config, cqms, traffic, probe, &result.report);
   clients.clear();
@@ -405,14 +447,14 @@ uint64_t DirBytes(const std::string& dir) {
 
 
 /// One import from a fresh cluster into `traffic` (whose ops are set).
-/// The first round adds setup_s; the last adds the per-layer metrics.
+/// Every round adds a setup sample; the last adds the per-layer metrics.
 void IngestRound(const Config& config, const std::vector<ScriptQuery>& preload,
-                 bool first, bool last, Traffic* traffic, RunResult* result) {
+                 bool last, Traffic* traffic, RunResult* result) {
   Report& report = result->report;
   const std::string dir = DurableDir(config);
   const int64_t t0 = NowMicros();
   std::unique_ptr<DurableCluster> c = StartCluster(dir, preload);
-  if (first) report.Add("setup_s", SecondsSince(t0), "s", 1);
+  result->setups.push_back(SecondsSince(t0));
 
   traffic->outs.assign(traffic->ops.size(), Outcome());
   auto client = ConnectOrDie(c->primary_server->port());
@@ -442,40 +484,35 @@ void IngestRound(const Config& config, const std::vector<ScriptQuery>& preload,
     }
   });
 
-  // The import: runs of appends pipelined in batches of 32, the other
-  // ops one at a time in between.
+  // The import: every op pipelined, up to kInFlight requests outstanding,
+  // in script order (the daemon applies mutations in arrival order). An
+  // Annotate or SetVisibility first waits for the append it targets.
+  constexpr size_t kInFlight = 32;
   traffic->start_us = NowMicros();
-  std::vector<storage::QueryId> appended;
-  constexpr size_t kBatch = 32;
+  std::vector<size_t> appends;  // Script index of each append, in order.
+  size_t outstanding = 0;
   ClientChannel channel(client.get(), false, false);
-  for (size_t i = 0; i < traffic->ops.size();) {
-    const Op& op = traffic->ops[i];
-    if (op.kind != Kind::kAppend) {
-      const storage::QueryId target = op.target < appended.size()
-                                          ? appended[op.target]
-                                          : storage::kInvalidQueryId;
-      CallOnce(client.get(), op, false, false, target, &traffic->outs[i]);
-      ++i;
-      continue;
-    }
-    size_t end = i;
-    std::vector<uint64_t> ids;
-    const int64_t sent = NowMicros();
-    while (end < traffic->ops.size() && end - i < kBatch &&
-           traffic->ops[end].kind == Kind::kAppend) {
-      ids.push_back(channel.Send(traffic->ops[end]));
-      traffic->outs[end].sent_us = sent;
-      ++end;
-    }
+  auto receive_one = [&] {
     channel.Flush();
-    for (size_t j = i; j < end; ++j) {
-      channel.Wait(traffic->ops[j], ids[j - i], &traffic->outs[j]);
-      traffic->outs[j].done_us = NowMicros();
-      appended.push_back(traffic->outs[j].ok ? traffic->outs[j].append.id
-                                             : storage::kInvalidQueryId);
+    Outcome* out = channel.Receive();
+    out->done_us = NowMicros();
+    --outstanding;
+  };
+  for (size_t i = 0; i < traffic->ops.size(); ++i) {
+    const Op& op = traffic->ops[i];
+    storage::QueryId target = storage::kInvalidQueryId;
+    if (op.kind == Kind::kAnnotate || op.kind == Kind::kSetVisibility) {
+      const Outcome& acked = traffic->outs[appends[op.target]];
+      while (acked.done_us == 0) receive_one();
+      if (acked.ok) target = acked.append.id;
     }
-    i = end;
+    if (outstanding == kInFlight) receive_one();
+    traffic->outs[i].sent_us = NowMicros();
+    channel.Send(op, target, &traffic->outs[i]);
+    ++outstanding;
+    if (op.kind == Kind::kAppend) appends.push_back(i);
   }
+  while (outstanding > 0) receive_one();
   SetEnd(traffic);
   importing = false;
   sampler.join();
@@ -592,7 +629,9 @@ void IngestRound(const Config& config, const std::vector<ScriptQuery>& preload,
 
 RunResult RunDurableIngest(const Config& config) {
   RunResult result;
-  const size_t n = OpBudget(kIngestOpsPerS, config);
+  // Ops of one round; every round, the traced one too, fills a window.
+  const size_t n = std::max(kOpsPerWindow + 100,
+                            kIngestOpsPerS * static_cast<size_t>(config.seconds));
   const std::vector<ScriptQuery> preload = IngestPreload(config);
   // About 0.88 n appends at ~6 queries per session.
   const std::vector<Op> script = BuildIngestScript(
@@ -604,16 +643,22 @@ RunResult RunDurableIngest(const Config& config) {
   const size_t round_count = config.quick ? 1 : kIngestRounds;
   std::vector<Traffic> rounds(round_count);
   std::vector<const Traffic*> traffics;
+  StartPeakRss(&result);
   for (size_t r = 0; r < round_count; ++r) {
     rounds[r].ops = script;
-    IngestRound(config, preload, r == 0, r + 1 == round_count, &rounds[r],
-                &result);
+    IngestRound(config, preload, r + 1 == round_count, &rounds[r], &result);
     traffics.push_back(&rounds[r]);
     // Later rounds inherit the first one's heap; its peak is the one a
-    // fresh daemon process would show.
-    if (r == 0) result.report.Add("rss_peak_mb", PeakRssMb(), "MiB");
+    // fresh daemon process would show. A traced round also holds the
+    // in-process maintenance and mining runs, so it reports none.
+    if (r == 0 && !config.traced) {
+      result.report.Add("rss_peak_mb", PeakRssMb(), "MiB");
+    }
   }
   AddClientMetrics(traffics, &result);
+  // Each round is one window: ops_per_s is the fastest of the identical
+  // imports.
+  AddThroughput(traffics, 100, &result);
   return result;
 }
 
