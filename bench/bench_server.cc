@@ -15,6 +15,9 @@
 // Append) at 95/5 (search-dominated exploration) and 50/50
 // (append-heavy logging) — appends serialize on the single writer
 // thread, searches fan out across workers against pinned views.
+//
+// Every rate is wall-clock (UseRealTime): the client thread mostly
+// waits on the socket, so its CPU time would overstate throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -82,7 +85,7 @@ void BM_ServerSearchPipelined(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(batch));
 }
-BENCHMARK(BM_ServerSearchPipelined)->Arg(1)->Arg(8)->Arg(64);
+BENCHMARK(BM_ServerSearchPipelined)->Arg(1)->Arg(8)->Arg(64)->UseRealTime();
 
 void BM_ServerMixed(benchmark::State& state) {
   const int read_pct = static_cast<int>(state.range(0));
@@ -120,7 +123,7 @@ void BM_ServerMixed(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
 }
-BENCHMARK(BM_ServerMixed)->Arg(95)->Arg(50);
+BENCHMARK(BM_ServerMixed)->Arg(95)->Arg(50)->UseRealTime();
 
 }  // namespace
 }  // namespace cqms

@@ -37,26 +37,38 @@ void FrameDecoder::Feed(const char* data, size_t n) {
   buf_.append(data, n);
 }
 
+FrameParse ParseFrame(std::string_view bytes, size_t max_payload_bytes,
+                      std::string_view* payload) {
+  if (bytes.size() < kFrameHeaderBytes) return FrameParse::kNeedMore;
+  uint32_t len = LoadFixed32(bytes.data());
+  if (len > max_payload_bytes) return FrameParse::kTooLarge;
+  if (bytes.size() - kFrameHeaderBytes < len) return FrameParse::kNeedMore;
+  std::string_view body = bytes.substr(kFrameHeaderBytes, len);
+  if (Crc32(body) != LoadFixed32(bytes.data() + 4)) return FrameParse::kBadCrc;
+  *payload = body;
+  return FrameParse::kFrame;
+}
+
 FrameDecoder::Next FrameDecoder::Poll(std::string* payload) {
   if (failed()) return Next::kError;
-  if (buf_.size() - pos_ < kFrameHeaderBytes) return Next::kNeedMore;
-  const char* base = buf_.data() + pos_;
-  uint32_t len = LoadFixed32(base);
-  if (len > max_frame_bytes_) {
-    error_ = Status::InvalidArgument("frame length " + std::to_string(len) +
-                                     " exceeds limit " +
-                                     std::to_string(max_frame_bytes_));
-    return Next::kError;
-  }
-  if (buf_.size() - pos_ - kFrameHeaderBytes < len) return Next::kNeedMore;
-  uint32_t want_crc = LoadFixed32(base + 4);
-  std::string_view body(base + kFrameHeaderBytes, len);
-  if (Crc32(body) != want_crc) {
-    error_ = Status::Corruption("frame CRC mismatch");
-    return Next::kError;
+  std::string_view body;
+  switch (ParseFrame(std::string_view(buf_).substr(pos_), max_frame_bytes_,
+                     &body)) {
+    case FrameParse::kFrame:
+      break;
+    case FrameParse::kNeedMore:
+      return Next::kNeedMore;
+    case FrameParse::kTooLarge:
+      error_ = Status::InvalidArgument(
+          "frame length " + std::to_string(LoadFixed32(buf_.data() + pos_)) +
+          " exceeds limit " + std::to_string(max_frame_bytes_));
+      return Next::kError;
+    case FrameParse::kBadCrc:
+      error_ = Status::Corruption("frame CRC mismatch");
+      return Next::kError;
   }
   payload->assign(body.data(), body.size());
-  pos_ += kFrameHeaderBytes + len;
+  pos_ += kFrameHeaderBytes + body.size();
   return Next::kFrame;
 }
 

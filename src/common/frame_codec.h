@@ -11,15 +11,14 @@
 namespace cqms {
 
 /// Byte stream framing shared by the network protocol (docs/server.md)
-/// and reusable by any future stream transport (WAL shipping). One frame
-/// is
+/// and the write-ahead log's records (docs/persistence.md). One frame is
 ///
 ///   fixed32 payload length (little-endian)
-///   fixed32 CRC-32 of the payload (the WAL's Crc32)
+///   fixed32 CRC-32 of the payload
 ///   payload bytes
 ///
-/// — the same length+CRC discipline the WAL uses per record, so torn or
-/// corrupted bytes are detected before a single payload byte is decoded.
+/// so torn or corrupted bytes are detected before a single payload byte
+/// is decoded.
 constexpr size_t kFrameHeaderBytes = 8;
 
 /// Frames larger than this are refused by default on both ends; the
@@ -28,6 +27,20 @@ constexpr size_t kDefaultMaxFrameBytes = 8u << 20;
 
 /// Appends one encoded frame carrying `payload` to `out`.
 void AppendFrame(std::string* out, std::string_view payload);
+
+enum class FrameParse {
+  kFrame,     ///< `*payload` views the first frame's payload.
+  kNeedMore,  ///< `bytes` holds only a prefix of the first frame.
+  kTooLarge,  ///< The length field exceeds `max_payload_bytes`.
+  kBadCrc,    ///< The payload fails its CRC.
+};
+
+/// Parses the frame at the front of `bytes` without copying; the frame
+/// spans kFrameHeaderBytes + payload->size() bytes. Each caller keeps
+/// its own policy for a bad frame: the wire drops the connection, the
+/// WAL treats it as the torn end of the committed prefix.
+FrameParse ParseFrame(std::string_view bytes, size_t max_payload_bytes,
+                      std::string_view* payload);
 
 /// Incremental frame extractor over an arbitrarily chunked byte stream
 /// (socket reads). Feed() buffers bytes; Next() yields complete payloads

@@ -89,11 +89,4 @@ std::string Cqms::Tutorial() const {
   return miner::RenderTutorial(store_, sections);
 }
 
-Status Cqms::SetVisibility(const std::string& requester, storage::QueryId id,
-                           storage::Visibility visibility) {
-  const storage::QueryRecord* r = store_.Get(id);
-  if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
-  return store_.acl().SetVisibility(id, r->user, requester, visibility);
-}
-
 }  // namespace cqms

@@ -55,7 +55,7 @@ class Cqms {
 
   /// Registers a user with their collaboration groups.
   void RegisterUser(const std::string& user, const std::vector<std::string>& groups) {
-    store_.acl().AddUser(user, groups);
+    store_.AddUser(user, groups);
   }
 
   // --- Traditional Interaction Mode (§2.1) ----------------------------------
@@ -123,7 +123,9 @@ class Cqms {
   // --- Administrative Interaction Mode (§2.4) ---------------------------------
 
   Status SetVisibility(const std::string& requester, storage::QueryId id,
-                       storage::Visibility visibility);
+                       storage::Visibility visibility) {
+    return store_.SetVisibility(id, requester, visibility);
+  }
   Status DeleteQuery(const std::string& requester, storage::QueryId id,
                      bool is_admin = false) {
     return store_.Delete(id, requester, is_admin);
@@ -175,9 +177,7 @@ class Cqms {
   /// any number of threads concurrently with this instance's writer
   /// thread (Execute, maintenance, mining). Call from the writer
   /// thread, typically right after construction or restore.
-  void EnableConcurrentReads(storage::ViewOptions options = {}) {
-    store_.EnableViews(options);
-  }
+  void EnableConcurrentReads() { store_.EnableViews(); }
 
   /// Refcounted handle on the latest published view (null until
   /// EnableConcurrentReads) — for long-lived consumers like backups.

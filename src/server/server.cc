@@ -360,7 +360,7 @@ Status CqmsServer::Start() {
   // From here on the server's writer thread owns all mutations; turning
   // on the read-view pipeline now (still single-threaded) is safe.
   if (!cqms_->store()->views_enabled()) {
-    cqms_->EnableConcurrentReads(options_.view_options);
+    cqms_->EnableConcurrentReads();
   }
 
   // Primary with durability: tail the WAL into the shipping engine.

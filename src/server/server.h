@@ -75,10 +75,6 @@ struct ServerOptions {
   /// slow_query_micros set is a Start() error.
   std::string slow_query_log_path;
 
-  /// View publication knobs applied when the server enables concurrent
-  /// reads on its Cqms (no-op if the caller already enabled them).
-  storage::ViewOptions view_options;
-
   /// Non-empty ("host:port") runs the server as a live read replica of
   /// that primary: reads (Search, Recommend, Browse, ShowSession, Stats,
   /// MetricsDump) are served from the replicated store, every mutation

@@ -175,7 +175,6 @@ int main(int argc, char** argv) {
     fopts.primary_host = ep->host;
     fopts.primary_port = ep->port;
     fopts.name = options.host + ":" + std::to_string(options.port);
-    fopts.view_options = options.view_options;
     // Non-owning alias: `cqms` outlives both server and follower.
     std::shared_ptr<cqms::Cqms> live(&cqms, [](cqms::Cqms*) {});
     follower = std::make_unique<cqms::repl::Follower>(&server, std::move(live),

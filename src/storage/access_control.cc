@@ -1,10 +1,8 @@
 #include "storage/access_control.h"
 
-#include <algorithm>
-
 namespace cqms::storage {
 
-void AccessControl::AddUser(const std::string& user,
+bool AccessControl::AddUser(const std::string& user,
                             const std::vector<std::string>& groups) {
   // Idempotent re-registration (apps re-register their user set on
   // every startup) is a no-op: no epoch bump — which would invalidate
@@ -18,25 +16,12 @@ void AccessControl::AddUser(const std::string& user,
         break;
       }
     }
-    if (all_present) return;
+    if (all_present) return false;
   }
   auto& set = memberships_[user];
   for (const std::string& g : groups) set.insert(g);
   ++epoch_;
-  for (StoreListener* l : listeners_) l->OnAclAddUser(user, groups);
-}
-
-void AccessControl::AddListener(StoreListener* listener) {
-  if (listener == nullptr) return;
-  if (std::find(listeners_.begin(), listeners_.end(), listener) ==
-      listeners_.end()) {
-    listeners_.push_back(listener);
-  }
-}
-
-void AccessControl::RemoveListener(StoreListener* listener) {
-  listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), listener),
-                   listeners_.end());
+  return true;
 }
 
 const std::set<std::string>& AccessControl::GroupsOf(const std::string& user) const {
@@ -56,17 +41,9 @@ bool AccessControl::ShareGroup(const std::string& a, const std::string& b) const
   return false;
 }
 
-Status AccessControl::SetVisibility(QueryId id, const std::string& owner,
-                                    const std::string& requester,
-                                    Visibility visibility) {
-  if (owner != requester) {
-    return Status::PermissionDenied("only the owner may change visibility of query " +
-                                    std::to_string(id));
-  }
+void AccessControl::SetVisibility(QueryId id, Visibility visibility) {
   visibility_[id] = visibility;
   ++epoch_;
-  for (StoreListener* l : listeners_) l->OnAclSetVisibility(id, visibility);
-  return Status::Ok();
 }
 
 Visibility AccessControl::GetVisibility(QueryId id) const {

@@ -7,9 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "storage/query_record.h"
-#include "storage/store_listener.h"
 
 namespace cqms::storage {
 
@@ -25,30 +23,15 @@ enum class Visibility {
 /// Users, groups and per-query visibility rules. Every read path of the
 /// CQMS (search, browse, recommendations, mining inputs) filters through
 /// `CanSee` so knowledge transfer respects collaboration boundaries.
+/// A store's ACL changes only through QueryStore::AddUser and
+/// QueryStore::SetVisibility, which notify the store's listeners;
+/// QueryStore::acl() is read-only.
 class AccessControl {
  public:
-  AccessControl() = default;
-
-  /// Copying carries the rules (memberships, visibility, epoch) but
-  /// never the listeners: a copy is a frozen snapshot — a published
-  /// read view's ACL — not a second mutation source, so observers of
-  /// the live ACL must not receive (or dangle from) its copies.
-  AccessControl(const AccessControl& other)
-      : memberships_(other.memberships_),
-        visibility_(other.visibility_),
-        epoch_(other.epoch_) {}
-  AccessControl& operator=(const AccessControl& other) {
-    if (this != &other) {
-      memberships_ = other.memberships_;
-      visibility_ = other.visibility_;
-      epoch_ = other.epoch_;
-    }
-    return *this;
-  }
-
   /// Registers `user` as a member of `groups` (creates groups on demand;
-  /// repeated calls merge memberships).
-  void AddUser(const std::string& user, const std::vector<std::string>& groups);
+  /// repeated calls merge memberships). Returns false, without bumping
+  /// the epoch, when the user already belongs to every group.
+  bool AddUser(const std::string& user, const std::vector<std::string>& groups);
 
   /// True when the user has been registered.
   bool HasUser(const std::string& user) const { return memberships_.count(user) > 0; }
@@ -58,10 +41,9 @@ class AccessControl {
 
   bool ShareGroup(const std::string& a, const std::string& b) const;
 
-  /// Sets the visibility of one query. Only the owner may change it;
-  /// `requester` must equal `owner`.
-  Status SetVisibility(QueryId id, const std::string& owner,
-                       const std::string& requester, Visibility visibility);
+  /// Sets the visibility of one query. The owner check lives in
+  /// QueryStore::SetVisibility, the only writer.
+  void SetVisibility(QueryId id, Visibility visibility);
 
   Visibility GetVisibility(QueryId id) const;
 
@@ -82,17 +64,10 @@ class AccessControl {
   /// caching never outlives an ACL change.
   uint64_t epoch() const { return epoch_; }
 
-  /// Registers / detaches a mutation observer. Managed by
-  /// QueryStore::AddListener/RemoveListener so one call covers store
-  /// and ACL; double registration is a no-op.
-  void AddListener(StoreListener* listener);
-  void RemoveListener(StoreListener* listener);
-
  private:
   std::map<std::string, std::set<std::string>> memberships_;
   std::map<QueryId, Visibility> visibility_;
   uint64_t epoch_ = 0;
-  std::vector<StoreListener*> listeners_;
   std::set<std::string> empty_;
 };
 

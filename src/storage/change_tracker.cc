@@ -24,66 +24,40 @@ ChangeDelta ChangeTracker::Drain() {
   return out;
 }
 
-void ChangeTracker::OnAppend(const QueryRecord& record) {
+void ChangeTracker::OnMutation(const Mutation& m) {
   if (Suppressed()) return;
-  // Ids are assigned monotonically, so plain push_back keeps the set
-  // sorted and duplicate-free.
-  pending_.appended.push_back(record.id);
-}
-
-void ChangeTracker::OnRewrite(QueryId id, const std::string& new_text) {
-  (void)new_text;
-  if (Suppressed()) return;
-  InsertSorted(&pending_.rewritten, id);
-}
-
-void ChangeTracker::OnAnnotate(QueryId id, const Annotation& annotation) {
-  // Annotations feed no mining pass.
-  (void)id;
-  (void)annotation;
-}
-
-void ChangeTracker::OnFlagChange(QueryId id, QueryFlags flag, bool set) {
-  if (Suppressed() || flag != kFlagDeleted) return;
-  if (set) {
-    InsertSorted(&pending_.deleted, id);
-  } else {
-    InsertSorted(&pending_.undeleted, id);
+  switch (m.op) {
+    case WalOp::kAppend:
+      // Ids are assigned monotonically, so plain push_back keeps the set
+      // sorted and duplicate-free.
+      pending_.appended.push_back(m.id);
+      break;
+    case WalOp::kRewrite:
+      InsertSorted(&pending_.rewritten, m.id);
+      break;
+    case WalOp::kSyncOutput:
+      InsertSorted(&pending_.output_synced, m.id);
+      break;
+    case WalOp::kFlagSet:
+      if (m.flag == kFlagDeleted) InsertSorted(&pending_.deleted, m.id);
+      break;
+    case WalOp::kFlagClear:
+      if (m.flag == kFlagDeleted) InsertSorted(&pending_.undeleted, m.id);
+      break;
+    case WalOp::kDelete:
+      InsertSorted(&pending_.deleted, m.id);
+      break;
+    case WalOp::kSetSession:
+      InsertSorted(&pending_.session_reassigned, m.id);
+      break;
+    case WalOp::kAnnotate:
+    case WalOp::kSetQuality:
+    case WalOp::kAddUser:
+    case WalOp::kSetVisibility:
+      // Annotations and quality feed no mining pass; mining reads the
+      // raw log, and the ACL applies at meta-query time.
+      break;
   }
-}
-
-void ChangeTracker::OnSetSession(QueryId id, SessionId session) {
-  (void)session;
-  if (Suppressed()) return;
-  InsertSorted(&pending_.session_reassigned, id);
-}
-
-void ChangeTracker::OnSetQuality(QueryId id, double quality) {
-  // Quality feeds ranking, not mining.
-  (void)id;
-  (void)quality;
-}
-
-void ChangeTracker::OnDelete(QueryId id) {
-  if (Suppressed()) return;
-  InsertSorted(&pending_.deleted, id);
-}
-
-void ChangeTracker::OnSyncOutputSignature(QueryId id) {
-  if (Suppressed()) return;
-  InsertSorted(&pending_.output_synced, id);
-}
-
-void ChangeTracker::OnAclAddUser(const std::string& user,
-                                 const std::vector<std::string>& groups) {
-  // Mining reads the raw log; ACL applies at meta-query time.
-  (void)user;
-  (void)groups;
-}
-
-void ChangeTracker::OnAclSetVisibility(QueryId id, Visibility visibility) {
-  (void)id;
-  (void)visibility;
 }
 
 }  // namespace cqms::storage

@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "storage/mutation.h"
 #include "storage/query_record.h"
-#include "storage/store_listener.h"
 
 namespace cqms::storage {
 
@@ -96,18 +96,7 @@ class ChangeTracker : public StoreListener {
     ChangeTracker* tracker_;
   };
 
-  // --- StoreListener -------------------------------------------------------
-  void OnAppend(const QueryRecord& record) override;
-  void OnRewrite(QueryId id, const std::string& new_text) override;
-  void OnAnnotate(QueryId id, const Annotation& annotation) override;
-  void OnFlagChange(QueryId id, QueryFlags flag, bool set) override;
-  void OnSetSession(QueryId id, SessionId session) override;
-  void OnSetQuality(QueryId id, double quality) override;
-  void OnDelete(QueryId id) override;
-  void OnSyncOutputSignature(QueryId id) override;
-  void OnAclAddUser(const std::string& user,
-                    const std::vector<std::string>& groups) override;
-  void OnAclSetVisibility(QueryId id, Visibility visibility) override;
+  void OnMutation(const Mutation& mutation) override;
 
  private:
   bool Suppressed() const { return suppress_depth_ > 0; }

@@ -351,10 +351,11 @@ Status DurableStore::MaybeCheckpoint(bool* checkpointed) {
   return s;
 }
 
-void DurableStore::Log(std::string_view op_payload) {
+void DurableStore::OnMutation(const Mutation& mutation) {
+  if (mutation.op == WalOp::kSyncOutput) return;  // not a logged op
   BinaryWriter frame;
   frame.PutVarint(++last_sequence_);
-  frame.PutBytes(op_payload.data(), op_payload.size());
+  EncodeMutation(mutation, &frame);
   Status s = wal_.Append(frame.data());
   if (!s.ok() && deferred_error_.ok()) {
     deferred_error_ = s;
@@ -367,41 +368,6 @@ void DurableStore::Log(std::string_view op_payload) {
   if (s.ok() && shipping_hook_ != nullptr) {
     shipping_hook_->OnWalFrame(last_sequence_, frame.data());
   }
-}
-
-void DurableStore::OnAppend(const QueryRecord& record) {
-  Log(wal::EncodeAppend(record));
-}
-
-void DurableStore::OnRewrite(QueryId id, const std::string& new_text) {
-  Log(wal::EncodeRewrite(id, new_text, store_->Get(id)->signature));
-}
-
-void DurableStore::OnAnnotate(QueryId id, const Annotation& annotation) {
-  Log(wal::EncodeAnnotate(id, annotation));
-}
-
-void DurableStore::OnFlagChange(QueryId id, QueryFlags flag, bool set) {
-  Log(wal::EncodeFlagChange(id, flag, set));
-}
-
-void DurableStore::OnSetSession(QueryId id, SessionId session) {
-  Log(wal::EncodeSetSession(id, session));
-}
-
-void DurableStore::OnSetQuality(QueryId id, double quality) {
-  Log(wal::EncodeSetQuality(id, quality));
-}
-
-void DurableStore::OnDelete(QueryId id) { Log(wal::EncodeDelete(id)); }
-
-void DurableStore::OnAclAddUser(const std::string& user,
-                                const std::vector<std::string>& groups) {
-  Log(wal::EncodeAddUser(user, groups));
-}
-
-void DurableStore::OnAclSetVisibility(QueryId id, Visibility visibility) {
-  Log(wal::EncodeSetVisibility(id, visibility));
 }
 
 }  // namespace cqms::storage

@@ -8,8 +8,8 @@
 
 #include "common/status.h"
 #include "storage/env.h"
+#include "storage/mutation.h"
 #include "storage/query_store.h"
-#include "storage/store_listener.h"
 #include "storage/wal.h"
 
 namespace cqms::storage {
@@ -206,20 +206,11 @@ class DurableStore : public StoreListener {
 
   Env* env() const { return env_; }
 
-  // --- StoreListener (the store calls these; not for direct use) -----------
-  void OnAppend(const QueryRecord& record) override;
-  void OnRewrite(QueryId id, const std::string& new_text) override;
-  void OnAnnotate(QueryId id, const Annotation& annotation) override;
-  void OnFlagChange(QueryId id, QueryFlags flag, bool set) override;
-  void OnSetSession(QueryId id, SessionId session) override;
-  void OnSetQuality(QueryId id, double quality) override;
-  void OnDelete(QueryId id) override;
-  void OnAclAddUser(const std::string& user,
-                    const std::vector<std::string>& groups) override;
-  void OnAclSetVisibility(QueryId id, Visibility visibility) override;
+  /// StoreListener: frames every logged mutation (all but kSyncOutput)
+  /// into the WAL. The store calls this; not for direct use.
+  void OnMutation(const Mutation& mutation) override;
 
  private:
-  void Log(std::string_view op_payload);
   void SweepStaleTmpFiles();
   /// Checkpoint() body; the public wrapper adds duration / failure
   /// instrumentation around it.

@@ -105,7 +105,7 @@ Status LoadSnapshotV1(QueryStore* store, std::istream& in,
         }
         groups.push_back(g);
       }
-      store->acl().AddUser(user, groups);
+      store->AddUser(user, groups);
     } else if (tag == "Q") {
       QueryId id;
       Micros ts;
@@ -154,9 +154,8 @@ Status LoadSnapshotV1(QueryStore* store, std::istream& in,
       int vis;
       ls >> vis;
       if (!ls) return Status::IoError("corrupt V line in " + path);
-      const QueryRecord* r = store->Get(current);
-      CQMS_RETURN_IF_ERROR(store->acl().SetVisibility(
-          current, r->user, r->user, static_cast<Visibility>(vis)));
+      CQMS_RETURN_IF_ERROR(store->SetVisibility(
+          current, "", static_cast<Visibility>(vis), /*is_admin=*/true));
     } else {
       return Status::IoError("unknown snapshot tag '" + tag + "' in " + path);
     }

@@ -19,32 +19,6 @@ using db::ValueType;
 
 }  // namespace
 
-/// Forwards ACL mutations into the store's publication counter. Only
-/// registered on acl_ (never on the store itself), so the record
-/// callbacks can stay no-ops.
-class QueryStore::AclViewTick : public StoreListener {
- public:
-  explicit AclViewTick(QueryStore* store) : store_(store) {}
-
-  void OnAppend(const QueryRecord&) override {}
-  void OnRewrite(QueryId, const std::string&) override {}
-  void OnAnnotate(QueryId, const Annotation&) override {}
-  void OnFlagChange(QueryId, QueryFlags, bool) override {}
-  void OnSetSession(QueryId, SessionId) override {}
-  void OnSetQuality(QueryId, double) override {}
-  void OnDelete(QueryId) override {}
-  void OnAclAddUser(const std::string&,
-                    const std::vector<std::string>&) override {
-    store_->MutationTick();
-  }
-  void OnAclSetVisibility(QueryId, Visibility) override {
-    store_->MutationTick();
-  }
-
- private:
-  QueryStore* store_;
-};
-
 QueryStore::QueryStore(LshParams lsh_params) : lsh_(lsh_params) {
   // Materialize the paper's feature relations (Figure 1). The embedded
   // database is CQMS-internal; failures here are programming errors.
@@ -82,13 +56,11 @@ void QueryStore::AddListener(StoreListener* listener) {
       listeners_.end()) {
     listeners_.push_back(listener);
   }
-  acl_.AddListener(listener);
 }
 
 void QueryStore::RemoveListener(StoreListener* listener) {
   listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), listener),
                    listeners_.end());
-  acl_.RemoveListener(listener);
 }
 
 uint32_t QueryStore::PopularitySlotFor(const QueryRecord& record) {
@@ -119,8 +91,9 @@ QueryId QueryStore::Append(QueryRecord record) {
     ComputeSimilaritySignature(&record);
   }
   QueryId id = FinishAppend(std::move(record));
-  for (StoreListener* l : listeners_) l->OnAppend(records_.back());
-  MutationTick();
+  Mutation m(WalOp::kAppend, id);
+  m.record = &records_.back();
+  Commit(m);
   return id;
 }
 
@@ -363,17 +336,19 @@ Status QueryStore::RewriteQueryText(QueryId id, const std::string& new_text) {
   if (slot != ScoringColumns::kNoPopularitySlot) scoring_.AddSlotRef(slot);
   scoring_.RewriteRecord(*r, slot);
   if (!feature_rows_lazy_) InsertFeatureRows(*r);
-  for (StoreListener* l : listeners_) l->OnRewrite(id, r->text);
-  MutationTick();
+  Mutation m(WalOp::kRewrite, id);
+  m.record = r;
+  Commit(m);
   return Status::Ok();
 }
 
 Status QueryStore::Annotate(QueryId id, Annotation annotation) {
   QueryRecord* r = GetMutable(id);
   if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
+  Mutation m(WalOp::kAnnotate, id);
+  m.annotation = annotation;
   r->annotations.push_back(std::move(annotation));
-  for (StoreListener* l : listeners_) l->OnAnnotate(id, r->annotations.back());
-  MutationTick();
+  Commit(m);
   return Status::Ok();
 }
 
@@ -390,8 +365,9 @@ Status QueryStore::AddFlag(QueryId id, QueryFlags flag) {
   if ((r->flags & flag) == static_cast<uint32_t>(flag)) return Status::Ok();
   r->flags |= flag;
   scoring_.SetFlags(id, r->flags);
-  for (StoreListener* l : listeners_) l->OnFlagChange(id, flag, /*set=*/true);
-  MutationTick();
+  Mutation m(WalOp::kFlagSet, id);
+  m.flag = flag;
+  Commit(m);
   return Status::Ok();
 }
 
@@ -401,8 +377,9 @@ Status QueryStore::ClearFlag(QueryId id, QueryFlags flag) {
   if ((r->flags & flag) == 0) return Status::Ok();
   r->flags &= ~static_cast<uint32_t>(flag);
   scoring_.SetFlags(id, r->flags);
-  for (StoreListener* l : listeners_) l->OnFlagChange(id, flag, /*set=*/false);
-  MutationTick();
+  Mutation m(WalOp::kFlagClear, id);
+  m.flag = flag;
+  Commit(m);
   return Status::Ok();
 }
 
@@ -411,8 +388,9 @@ Status QueryStore::SetSession(QueryId id, SessionId session) {
   if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
   if (r->session_id == session) return Status::Ok();
   r->session_id = session;
-  for (StoreListener* l : listeners_) l->OnSetSession(id, session);
-  MutationTick();
+  Mutation m(WalOp::kSetSession, id);
+  m.session = session;
+  Commit(m);
   return Status::Ok();
 }
 
@@ -423,8 +401,9 @@ Status QueryStore::SetQuality(QueryId id, double quality) {
   if (r->quality == clamped) return Status::Ok();
   r->quality = clamped;
   scoring_.SetQuality(id, r->quality);
-  for (StoreListener* l : listeners_) l->OnSetQuality(id, r->quality);
-  MutationTick();
+  Mutation m(WalOp::kSetQuality, id);
+  m.quality = r->quality;
+  Commit(m);
   return Status::Ok();
 }
 
@@ -436,10 +415,7 @@ Status QueryStore::SyncOutputSignature(QueryId id) {
   // change feed for a no-op sync would needlessly invalidate the
   // miner's distance cache for exactly the popular, window-resident
   // records maintenance refreshes most often.
-  if (scoring_.SyncOutput(*r)) {
-    for (StoreListener* l : listeners_) l->OnSyncOutputSignature(id);
-    MutationTick();
-  }
+  if (scoring_.SyncOutput(*r)) Commit(Mutation(WalOp::kSyncOutput, id));
   return Status::Ok();
 }
 
@@ -465,8 +441,34 @@ Status QueryStore::Delete(QueryId id, const std::string& requester, bool is_admi
   if (r->HasFlag(kFlagDeleted)) return Status::Ok();
   r->flags |= kFlagDeleted;
   scoring_.SetFlags(id, r->flags);
-  for (StoreListener* l : listeners_) l->OnDelete(id);
-  MutationTick();
+  Commit(Mutation(WalOp::kDelete, id));
+  return Status::Ok();
+}
+
+void QueryStore::AddUser(const std::string& user,
+                         const std::vector<std::string>& groups) {
+  if (!acl_.AddUser(user, groups)) return;
+  Mutation m(WalOp::kAddUser, kInvalidQueryId);
+  m.user = user;
+  m.groups = groups;
+  Commit(m);
+}
+
+Status QueryStore::SetVisibility(QueryId id, const std::string& requester,
+                                 Visibility visibility, bool is_admin) {
+  if (!is_admin) {
+    const QueryRecord* r = Get(id);
+    if (r == nullptr) return Status::NotFound("no query " + std::to_string(id));
+    if (r->user != requester) {
+      return Status::PermissionDenied(
+          "only the owner may change visibility of query " +
+          std::to_string(id));
+    }
+  }
+  acl_.SetVisibility(id, visibility);
+  Mutation m(WalOp::kSetVisibility, id);
+  m.visibility = visibility;
+  Commit(m);
   return Status::Ok();
 }
 
@@ -498,22 +500,21 @@ VisibilityCache& QueryStore::CacheFor(const std::string& viewer) const {
 
 // --- read-view publication -------------------------------------------------
 
-void QueryStore::EnableViews(ViewOptions options) {
-  view_options_ = options;
-  if (!views_enabled_) {
-    views_enabled_ = true;
-    acl_view_tick_ = std::make_unique<AclViewTick>(this);
-    acl_.AddListener(acl_view_tick_.get());
-  }
+void QueryStore::EnableViews() {
+  views_enabled_ = true;
   PublishView();
+}
+
+void QueryStore::Commit(const Mutation& mutation) {
+  for (StoreListener* l : listeners_) l->OnMutation(mutation);
+  MutationTick();
 }
 
 void QueryStore::MutationTick() {
   ++mutations_;
   if (!views_enabled_) return;
   ++unpublished_mutations_;
-  if (publish_batch_depth_ > 0) return;
-  if (unpublished_mutations_ >= view_options_.publish_every) PublishView();
+  if (publish_batch_depth_ == 0) PublishView();
 }
 
 void QueryStore::PublishView() {
@@ -531,7 +532,7 @@ void QueryStore::PublishView() {
   next->postings_ = postings_;
   next->scoring_ = scoring_;
   next->lsh_ = lsh_;
-  next->acl_ = acl_;  // the ACL copy strips listeners
+  next->acl_ = acl_;
   std::shared_ptr<const ReadViewState> old;
   {
     std::lock_guard<std::mutex> lock(view_owner_mu_);

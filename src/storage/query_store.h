@@ -17,25 +17,13 @@
 #include "storage/access_control.h"
 #include "storage/epoch.h"
 #include "storage/lsh_index.h"
+#include "storage/mutation.h"
 #include "storage/query_record.h"
 #include "storage/read_view.h"
 #include "storage/record_log.h"
 #include "storage/scoring_columns.h"
-#include "storage/store_listener.h"
 
 namespace cqms::storage {
-
-/// Knobs of the epoch-published read-view pipeline
-/// (QueryStore::EnableViews; docs/concurrency.md).
-struct ViewOptions {
-  /// Publish a fresh view after every N applied mutations. 1 = every
-  /// mutation becomes immediately visible to new readers; larger values
-  /// amortize the O(log size) snapshot copy across a write burst at the
-  /// cost of readers lagging up to N-1 mutations. Background cycles
-  /// additionally batch to one publish per cycle via ScopedPublishBatch
-  /// regardless of this setting.
-  size_t publish_every = 1;
-};
 
 /// The CQMS Query Storage (Figure 4): an append-only log of profiled
 /// queries with secondary indexes, plus the Figure-1 feature relations
@@ -91,10 +79,9 @@ class QueryStore {
   QueryId RestoreAppend(QueryRecord record);
 
   /// Registers a mutation observer (the write-ahead log, the miner's
-  /// ChangeTracker). One registration covers the store and its
-  /// AccessControl. Listeners fire after each successful durable
-  /// mutation, in registration order — see StoreListener. Registering
-  /// the same listener twice is a no-op.
+  /// ChangeTracker). Listeners fire after each successful durable
+  /// mutation, ACL changes included, in registration order — see
+  /// StoreListener. Registering the same listener twice is a no-op.
   void AddListener(StoreListener* listener);
 
   /// Detaches a previously registered listener (no-op when absent).
@@ -220,7 +207,18 @@ class QueryStore {
 
   // --- visibility ----------------------------------------------------------------
 
-  AccessControl& acl() { return acl_; }
+  /// Registers `user` as a member of `groups` (see
+  /// AccessControl::AddUser). Re-registering existing memberships is a
+  /// no-op that notifies no listener.
+  void AddUser(const std::string& user, const std::vector<std::string>& groups);
+
+  /// Sets the visibility of query `id`. Only its owner may change it
+  /// (PermissionDenied otherwise, NotFound for an unknown id); `is_admin`
+  /// skips both checks — restores and log replay set rules the owner
+  /// already chose, possibly before the record itself is loaded.
+  Status SetVisibility(QueryId id, const std::string& requester,
+                       Visibility visibility, bool is_admin = false);
+
   const AccessControl& acl() const { return acl_; }
 
   /// True when `viewer` may see query `id` (not deleted, ACL passes).
@@ -241,12 +239,11 @@ class QueryStore {
   // --- concurrent read views (docs/concurrency.md) -------------------------
 
   /// Turns on the epoch-published read-view pipeline and publishes the
-  /// first view immediately. From here on, every applied mutation ticks
-  /// the publication counter and (subject to `options.publish_every`
-  /// and any active ScopedPublishBatch) republishes a fresh immutable
-  /// snapshot for readers. Calling again just applies the new options
-  /// and republishes. Single-writer: call from the writer thread.
-  void EnableViews(ViewOptions options = {});
+  /// first view immediately. From here on, every applied mutation
+  /// republishes a fresh immutable snapshot for readers (deferred to
+  /// the end of any active ScopedPublishBatch). Calling again just
+  /// republishes. Single-writer: call from the writer thread.
+  void EnableViews();
 
   bool views_enabled() const { return views_enabled_; }
 
@@ -314,18 +311,16 @@ class QueryStore {
   /// StoreView's live-store facade points straight at postings_.
   friend class StoreView;
 
-  /// Internal StoreListener registered on acl_ by EnableViews so ACL
-  /// mutations (AddUser, SetVisibility) tick the publication counter
-  /// like record mutations do.
-  class AclViewTick;
-
   /// Shared tail of Append / RestoreAppend: assigns the id, stores the
   /// record and rebuilds every derived structure from it.
   QueryId FinishAppend(QueryRecord record);
-  /// Bumps the mutation counter and, when views are enabled and no
-  /// ScopedPublishBatch is active, republishes once publish_every
-  /// unpublished mutations have accumulated. Called at the end of every
-  /// successful state-changing mutation.
+  /// The end of every successful state-changing mutation: notifies the
+  /// listeners in registration order, bumps the mutation counter and,
+  /// when views are enabled and no ScopedPublishBatch is active,
+  /// republishes.
+  void Commit(const Mutation& mutation);
+  /// The counter-and-publish half of Commit, alone for restores, which
+  /// notify no listener.
   void MutationTick();
   void IndexRecord(const QueryRecord& record);
   /// Removes `record.id` from every feature-derived index (tables,
@@ -376,13 +371,11 @@ class QueryStore {
 
   // --- read-view publication state (writer-side unless noted) ------------
   bool views_enabled_ = false;
-  ViewOptions view_options_;
   /// Total successful mutations (records + ACL); stamped into views.
   uint64_t mutations_ = 0;
   uint64_t unpublished_mutations_ = 0;
   int publish_batch_depth_ = 0;
   uint64_t view_sequence_ = 0;
-  std::unique_ptr<StoreListener> acl_view_tick_;
   /// Reader-shared: the reclamation domain readers pin through the
   /// const PinView(), hence mutable.
   mutable EpochDomain view_epochs_;

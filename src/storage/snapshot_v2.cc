@@ -277,7 +277,7 @@ Status DecodeAcl(BinaryReader* r, QueryStore* store, const std::string& path) {
     std::string user = r->GetString();
     std::vector<std::string> groups = GetStringList(r);
     if (r->failed()) return CorruptSnapshot(path, "acl membership");
-    store->acl().AddUser(user, groups);
+    store->AddUser(user, groups);
   }
   uint64_t vis_count = r->GetVarint();
   if (r->failed() || vis_count > r->remaining()) {
@@ -289,10 +289,10 @@ Status DecodeAcl(BinaryReader* r, QueryStore* store, const std::string& path) {
     if (vis > static_cast<uint8_t>(Visibility::kPublic)) {
       return CorruptSnapshot(path, "visibility value");
     }
-    // Owner/requester checks do not apply to a restore; the empty
-    // owner==requester pair passes validation by construction.
-    Status s = store->acl().SetVisibility(id, "", "",
-                                          static_cast<Visibility>(vis));
+    // Owner checks do not apply to a restore, which also runs before
+    // the records section loads.
+    Status s = store->SetVisibility(id, "", static_cast<Visibility>(vis),
+                                    /*is_admin=*/true);
     if (!s.ok()) return s;
   }
   if (!r->AtEnd()) return CorruptSnapshot(path, "acl payload");

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/binary_codec.h"
+#include "common/frame_codec.h"
 #include "obs/metrics.h"
 #include "storage/persistence.h"
 #include "storage/record_builder.h"
@@ -14,7 +15,6 @@ namespace {
 constexpr std::string_view kWalMagic = "CQMSWAL1";
 constexpr uint32_t kWalVersion = 1;
 constexpr size_t kHeaderSize = 8 + 4;
-constexpr size_t kFrameOverhead = 4 + 4;  // length + CRC
 
 std::string WalHeader() {
   std::string header(kWalMagic);
@@ -30,244 +30,259 @@ Status CorruptWal(const std::string& path, const std::string& what) {
 
 }  // namespace
 
-Status ApplyWalRecord(BinaryReader* r, QueryStore* store,
-                      const std::string& path) {
-  uint8_t raw_op = r->GetU8();
-  WalOp op = static_cast<WalOp>(raw_op);
-  switch (op) {
+void EncodeMutation(const Mutation& m, BinaryWriter* w) {
+  w->PutU8(static_cast<uint8_t>(m.op));
+  switch (m.op) {
     case WalOp::kAppend: {
-      bool parsed = r->GetU8() != 0;
-      std::string text = r->GetString();
-      std::string user = r->GetString();
-      Micros ts = r->GetZigzag();
-      SessionId session = r->GetZigzag();
-      uint32_t flags = static_cast<uint32_t>(r->GetVarint());
-      double quality = r->GetDouble();
-      RuntimeStats stats;
-      stats.execution_micros = r->GetZigzag();
-      stats.result_rows = r->GetVarint();
-      stats.rows_scanned = r->GetVarint();
-      stats.succeeded = r->GetU8() != 0;
-      stats.error = r->GetString();
-      stats.plan = r->GetString();
-      std::vector<uint64_t> output_rows = GetDeltaU64s(r);
-      bool output_empty_computed = r->GetU8() != 0;
-      QueryId expected_id = static_cast<QueryId>(r->GetVarint());
-      if (r->failed()) return CorruptWal(path, "append payload");
-      QueryRecord record;
+      const QueryRecord& record = *m.record;
+      w->PutU8(record.parse_failed() ? 0 : 1);
+      w->PutString(record.text);
+      w->PutString(record.user);
+      w->PutZigzag(record.timestamp);
+      w->PutZigzag(record.session_id);
+      w->PutVarint(record.flags);
+      w->PutDouble(record.quality);
+      w->PutZigzag(record.stats.execution_micros);
+      w->PutVarint(record.stats.result_rows);
+      w->PutVarint(record.stats.rows_scanned);
+      w->PutU8(record.stats.succeeded ? 1 : 0);
+      w->PutString(record.stats.error);
+      w->PutString(record.stats.plan);
+      PutDeltaU64s(w, record.signature.output_rows);
+      w->PutU8(record.signature.output_empty_computed ? 1 : 0);
+      w->PutVarint(static_cast<uint64_t>(record.id));
+      break;
+    }
+    case WalOp::kRewrite:
+      w->PutVarint(static_cast<uint64_t>(m.id));
+      w->PutString(m.record->text);
+      PutDeltaU64s(w, m.record->signature.output_rows);
+      w->PutU8(m.record->signature.output_empty_computed ? 1 : 0);
+      break;
+    case WalOp::kAnnotate:
+      w->PutVarint(static_cast<uint64_t>(m.id));
+      w->PutString(m.annotation.author);
+      w->PutZigzag(m.annotation.timestamp);
+      w->PutString(m.annotation.text);
+      w->PutString(m.annotation.fragment);
+      break;
+    case WalOp::kFlagSet:
+    case WalOp::kFlagClear:
+      w->PutVarint(static_cast<uint64_t>(m.id));
+      w->PutVarint(m.flag);
+      break;
+    case WalOp::kSetSession:
+      w->PutVarint(static_cast<uint64_t>(m.id));
+      w->PutZigzag(m.session);
+      break;
+    case WalOp::kSetQuality:
+      w->PutVarint(static_cast<uint64_t>(m.id));
+      w->PutDouble(m.quality);
+      break;
+    case WalOp::kDelete:
+      w->PutVarint(static_cast<uint64_t>(m.id));
+      break;
+    case WalOp::kAddUser:
+      w->PutString(m.user);
+      w->PutVarint(m.groups.size());
+      for (const std::string& g : m.groups) w->PutString(g);
+      break;
+    case WalOp::kSetVisibility:
+      w->PutVarint(static_cast<uint64_t>(m.id));
+      w->PutU8(static_cast<uint8_t>(m.visibility));
+      break;
+    case WalOp::kSyncOutput:
+      break;
+  }
+}
+
+namespace {
+
+/// Decodes one payload (op byte onward) into `m`. Only reads: applying
+/// is ApplyMutation's job, so a frame is checked whole before it
+/// touches the store.
+Status DecodeMutation(BinaryReader* r, Mutation* m, const std::string& path) {
+  uint8_t raw_op = r->GetU8();
+  m->op = static_cast<WalOp>(raw_op);
+  const char* what = nullptr;  // names the payload in error messages
+  switch (m->op) {
+    case WalOp::kAppend: {
+      what = "append payload";
+      auto record = std::make_unique<QueryRecord>();
+      record->text_parses = r->GetU8() != 0;
+      record->text = r->GetString();
+      record->user = r->GetString();
+      record->timestamp = r->GetZigzag();
+      record->session_id = r->GetZigzag();
+      record->flags = static_cast<uint32_t>(r->GetVarint());
+      record->quality = r->GetDouble();
+      record->stats.execution_micros = r->GetZigzag();
+      record->stats.result_rows = r->GetVarint();
+      record->stats.rows_scanned = r->GetVarint();
+      record->stats.succeeded = r->GetU8() != 0;
+      record->stats.error = r->GetString();
+      record->stats.plan = r->GetString();
+      record->signature.output_rows = GetDeltaU64s(r);
+      record->signature.output_empty_computed = r->GetU8() != 0;
+      record->id = static_cast<QueryId>(r->GetVarint());
+      m->id = record->id;
+      m->record = record.get();
+      m->decoded = std::move(record);
+      break;
+    }
+    case WalOp::kRewrite: {
+      what = "rewrite payload";
+      auto record = std::make_unique<QueryRecord>();
+      m->id = record->id = static_cast<QueryId>(r->GetVarint());
+      record->text = r->GetString();
+      record->signature.output_rows = GetDeltaU64s(r);
+      record->signature.output_empty_computed = r->GetU8() != 0;
+      m->record = record.get();
+      m->decoded = std::move(record);
+      break;
+    }
+    case WalOp::kAnnotate:
+      what = "annotate payload";
+      m->id = static_cast<QueryId>(r->GetVarint());
+      m->annotation.author = r->GetString();
+      m->annotation.timestamp = r->GetZigzag();
+      m->annotation.text = r->GetString();
+      m->annotation.fragment = r->GetString();
+      break;
+    case WalOp::kFlagSet:
+    case WalOp::kFlagClear:
+      what = "flag payload";
+      m->id = static_cast<QueryId>(r->GetVarint());
+      m->flag = static_cast<QueryFlags>(r->GetVarint());
+      break;
+    case WalOp::kSetSession:
+      what = "session payload";
+      m->id = static_cast<QueryId>(r->GetVarint());
+      m->session = r->GetZigzag();
+      break;
+    case WalOp::kSetQuality:
+      what = "quality payload";
+      m->id = static_cast<QueryId>(r->GetVarint());
+      m->quality = r->GetDouble();
+      break;
+    case WalOp::kDelete:
+      what = "delete payload";
+      m->id = static_cast<QueryId>(r->GetVarint());
+      break;
+    case WalOp::kAddUser: {
+      what = "adduser payload";
+      m->user = r->GetString();
+      uint64_t n = r->GetVarint();
+      if (r->failed() || n > r->remaining()) return CorruptWal(path, what);
+      m->groups.reserve(n);
+      for (uint64_t i = 0; i < n; ++i) m->groups.push_back(r->GetString());
+      break;
+    }
+    case WalOp::kSetVisibility: {
+      what = "visibility payload";
+      m->id = static_cast<QueryId>(r->GetVarint());
+      uint8_t vis = r->GetU8();
+      if (vis > static_cast<uint8_t>(Visibility::kPublic)) {
+        return CorruptWal(path, what);
+      }
+      m->visibility = static_cast<Visibility>(vis);
+      break;
+    }
+    case WalOp::kSyncOutput:
+      break;  // never logged: as unknown as any future tag
+  }
+  if (what == nullptr) {
+    // A tag this build does not know: either corruption that survived
+    // the CRC (vanishingly unlikely) or a log written by a newer
+    // version. Either way the frame cannot be decoded — refuse with a
+    // typed status instead of guessing at its payload.
+    return CorruptWal(path,
+                      "unknown WAL record type " + std::to_string(raw_op));
+  }
+  if (r->failed()) return CorruptWal(path, what);
+  return Status::Ok();
+}
+
+/// Applies a decoded mutation through the store's own mutators.
+Status ApplyMutation(Mutation m, QueryStore* store) {
+  switch (m.op) {
+    case WalOp::kAppend: {
+      QueryRecord& logged = *m.decoded;
       QueryId id;
-      if (parsed) {
+      if (logged.text_parses) {
         // Replaying the tail re-tokenizes — bounded by the checkpoint
         // interval, unlike the snapshot body.
-        record = BuildRecordFromText(std::move(text), std::move(user), ts);
-        record.session_id = session;
-        record.flags = flags;
-        record.quality = quality;
-        record.stats = std::move(stats);
+        QueryRecord record = BuildRecordFromText(
+            std::move(logged.text), std::move(logged.user), logged.timestamp);
+        record.session_id = logged.session_id;
+        record.flags = logged.flags;
+        record.quality = logged.quality;
+        record.stats = std::move(logged.stats);
         // The output summary itself is not logged (refreshable cache),
         // but its signature contribution — the hashes output-similarity
         // ranking reads — is, so ranking stays crash-consistent for
         // WAL-tail records too. RestoreAppend trusts the patched
         // signature instead of refolding the (absent) summary the way
         // Append would.
-        record.signature.output_rows = std::move(output_rows);
-        record.signature.output_empty_computed = output_empty_computed;
+        record.signature.output_rows =
+            std::move(logged.signature.output_rows);
+        record.signature.output_empty_computed =
+            logged.signature.output_empty_computed;
         id = store->RestoreAppend(std::move(record));
       } else {
         // Original was logged without parsing (text-only profiling level
         // or unparsable text that BuildRecordFromText degraded); Append
         // computes the signature exactly as it did originally. Such
         // records never carry an output summary.
-        record.text = std::move(text);
-        record.user = std::move(user);
-        record.timestamp = ts;
-        record.session_id = session;
-        record.flags = flags;
-        record.quality = quality;
-        record.stats = std::move(stats);
-        id = store->Append(std::move(record));
+        logged.signature = SimilaritySignature{};
+        id = store->Append(std::move(logged));
       }
-      if (id != expected_id) {
-        return CorruptWal(path, "append id mismatch");
-      }
+      if (id != m.id) return Status::Corruption("append id mismatch");
       return Status::Ok();
     }
-    case WalOp::kRewrite: {
-      QueryId id = static_cast<QueryId>(r->GetVarint());
-      std::string text = r->GetString();
-      std::vector<uint64_t> output_rows = GetDeltaU64s(r);
-      bool output_empty_computed = r->GetU8() != 0;
-      if (r->failed()) return CorruptWal(path, "rewrite payload");
-      CQMS_RETURN_IF_ERROR(store->RewriteQueryText(id, text));
+    case WalOp::kRewrite:
+      CQMS_RETURN_IF_ERROR(store->RewriteQueryText(m.id, m.decoded->text));
       // The rewrite preserved the (unpersisted) summary; restore its
       // hash contribution so output-similarity ranking stays
       // crash-consistent across a rewritten tail record.
-      return store->RestoreOutputSignature(id, std::move(output_rows),
-                                           output_empty_computed);
-    }
-    case WalOp::kAnnotate: {
-      QueryId id = static_cast<QueryId>(r->GetVarint());
-      Annotation a;
-      a.author = r->GetString();
-      a.timestamp = r->GetZigzag();
-      a.text = r->GetString();
-      a.fragment = r->GetString();
-      if (r->failed()) return CorruptWal(path, "annotate payload");
-      return store->Annotate(id, std::move(a));
-    }
+      return store->RestoreOutputSignature(
+          m.id, std::move(m.decoded->signature.output_rows),
+          m.decoded->signature.output_empty_computed);
+    case WalOp::kAnnotate:
+      return store->Annotate(m.id, std::move(m.annotation));
     case WalOp::kFlagSet:
-    case WalOp::kFlagClear: {
-      QueryId id = static_cast<QueryId>(r->GetVarint());
-      QueryFlags flag = static_cast<QueryFlags>(r->GetVarint());
-      if (r->failed()) return CorruptWal(path, "flag payload");
-      return op == WalOp::kFlagSet ? store->AddFlag(id, flag)
-                                   : store->ClearFlag(id, flag);
-    }
-    case WalOp::kSetSession: {
-      QueryId id = static_cast<QueryId>(r->GetVarint());
-      SessionId session = r->GetZigzag();
-      if (r->failed()) return CorruptWal(path, "session payload");
-      return store->SetSession(id, session);
-    }
-    case WalOp::kSetQuality: {
-      QueryId id = static_cast<QueryId>(r->GetVarint());
-      double quality = r->GetDouble();
-      if (r->failed()) return CorruptWal(path, "quality payload");
-      return store->SetQuality(id, quality);
-    }
-    case WalOp::kDelete: {
-      QueryId id = static_cast<QueryId>(r->GetVarint());
-      if (r->failed()) return CorruptWal(path, "delete payload");
+      return store->AddFlag(m.id, m.flag);
+    case WalOp::kFlagClear:
+      return store->ClearFlag(m.id, m.flag);
+    case WalOp::kSetSession:
+      return store->SetSession(m.id, m.session);
+    case WalOp::kSetQuality:
+      return store->SetQuality(m.id, m.quality);
+    case WalOp::kDelete:
       // The owner check already passed when the op was logged.
-      return store->Delete(id, "", /*is_admin=*/true);
-    }
-    case WalOp::kAddUser: {
-      std::string user = r->GetString();
-      uint64_t n = r->GetVarint();
-      if (r->failed() || n > r->remaining()) {
-        return CorruptWal(path, "adduser payload");
-      }
-      std::vector<std::string> groups;
-      groups.reserve(n);
-      for (uint64_t i = 0; i < n; ++i) groups.push_back(r->GetString());
-      if (r->failed()) return CorruptWal(path, "adduser payload");
-      store->acl().AddUser(user, groups);
+      return store->Delete(m.id, "", /*is_admin=*/true);
+    case WalOp::kAddUser:
+      store->AddUser(m.user, m.groups);
       return Status::Ok();
-    }
-    case WalOp::kSetVisibility: {
-      QueryId id = static_cast<QueryId>(r->GetVarint());
-      uint8_t vis = r->GetU8();
-      if (r->failed() || vis > static_cast<uint8_t>(Visibility::kPublic)) {
-        return CorruptWal(path, "visibility payload");
-      }
-      return store->acl().SetVisibility(id, "", "",
-                                        static_cast<Visibility>(vis));
-    }
+    case WalOp::kSetVisibility:
+      return store->SetVisibility(m.id, "", m.visibility, /*is_admin=*/true);
+    case WalOp::kSyncOutput:
+      break;
   }
-  // A tag this build does not know: either corruption that survived the
-  // CRC (vanishingly unlikely) or a log written by a newer version.
-  // Either way the frame cannot be decoded — refuse with a typed status
-  // instead of guessing at its payload.
-  return CorruptWal(path,
-                    "unknown WAL record type " + std::to_string(raw_op));
+  return Status::Internal("unreachable WAL op");
 }
 
-namespace wal {
+}  // namespace
 
-std::string EncodeAppend(const QueryRecord& record) {
-  BinaryWriter w;
-  w.PutU8(static_cast<uint8_t>(WalOp::kAppend));
-  w.PutU8(record.parse_failed() ? 0 : 1);
-  w.PutString(record.text);
-  w.PutString(record.user);
-  w.PutZigzag(record.timestamp);
-  w.PutZigzag(record.session_id);
-  w.PutVarint(record.flags);
-  w.PutDouble(record.quality);
-  w.PutZigzag(record.stats.execution_micros);
-  w.PutVarint(record.stats.result_rows);
-  w.PutVarint(record.stats.rows_scanned);
-  w.PutU8(record.stats.succeeded ? 1 : 0);
-  w.PutString(record.stats.error);
-  w.PutString(record.stats.plan);
-  PutDeltaU64s(&w, record.signature.output_rows);
-  w.PutU8(record.signature.output_empty_computed ? 1 : 0);
-  w.PutVarint(static_cast<uint64_t>(record.id));
-  return w.Take();
+Status ApplyWalRecord(BinaryReader* r, QueryStore* store,
+                      const std::string& path) {
+  Mutation m;
+  CQMS_RETURN_IF_ERROR(DecodeMutation(r, &m, path));
+  if (!r->AtEnd()) return CorruptWal(path, "trailing payload bytes");
+  Status s = ApplyMutation(std::move(m), store);
+  if (!s.ok()) return CorruptWal(path, s.message());
+  return Status::Ok();
 }
-
-std::string EncodeRewrite(QueryId id, std::string_view new_text,
-                          const SimilaritySignature& signature) {
-  BinaryWriter w;
-  w.PutU8(static_cast<uint8_t>(WalOp::kRewrite));
-  w.PutVarint(static_cast<uint64_t>(id));
-  w.PutString(new_text);
-  PutDeltaU64s(&w, signature.output_rows);
-  w.PutU8(signature.output_empty_computed ? 1 : 0);
-  return w.Take();
-}
-
-std::string EncodeAnnotate(QueryId id, const Annotation& annotation) {
-  BinaryWriter w;
-  w.PutU8(static_cast<uint8_t>(WalOp::kAnnotate));
-  w.PutVarint(static_cast<uint64_t>(id));
-  w.PutString(annotation.author);
-  w.PutZigzag(annotation.timestamp);
-  w.PutString(annotation.text);
-  w.PutString(annotation.fragment);
-  return w.Take();
-}
-
-std::string EncodeFlagChange(QueryId id, QueryFlags flag, bool set) {
-  BinaryWriter w;
-  w.PutU8(static_cast<uint8_t>(set ? WalOp::kFlagSet : WalOp::kFlagClear));
-  w.PutVarint(static_cast<uint64_t>(id));
-  w.PutVarint(flag);
-  return w.Take();
-}
-
-std::string EncodeSetSession(QueryId id, SessionId session) {
-  BinaryWriter w;
-  w.PutU8(static_cast<uint8_t>(WalOp::kSetSession));
-  w.PutVarint(static_cast<uint64_t>(id));
-  w.PutZigzag(session);
-  return w.Take();
-}
-
-std::string EncodeSetQuality(QueryId id, double quality) {
-  BinaryWriter w;
-  w.PutU8(static_cast<uint8_t>(WalOp::kSetQuality));
-  w.PutVarint(static_cast<uint64_t>(id));
-  w.PutDouble(quality);
-  return w.Take();
-}
-
-std::string EncodeDelete(QueryId id) {
-  BinaryWriter w;
-  w.PutU8(static_cast<uint8_t>(WalOp::kDelete));
-  w.PutVarint(static_cast<uint64_t>(id));
-  return w.Take();
-}
-
-std::string EncodeAddUser(const std::string& user,
-                          const std::vector<std::string>& groups) {
-  BinaryWriter w;
-  w.PutU8(static_cast<uint8_t>(WalOp::kAddUser));
-  w.PutString(user);
-  w.PutVarint(groups.size());
-  for (const std::string& g : groups) w.PutString(g);
-  return w.Take();
-}
-
-std::string EncodeSetVisibility(QueryId id, Visibility visibility) {
-  BinaryWriter w;
-  w.PutU8(static_cast<uint8_t>(WalOp::kSetVisibility));
-  w.PutVarint(static_cast<uint64_t>(id));
-  w.PutU8(static_cast<uint8_t>(visibility));
-  return w.Take();
-}
-
-}  // namespace wal
 
 Status WalWriter::Open(const std::string& path, bool fsync_each_record,
                        Env* env) {
@@ -371,11 +386,8 @@ Status WalWriter::Append(std::string_view payload) {
     return Status::IoError("WAL writer failed; awaiting checkpoint reset: " +
                            path_);
   }
-  BinaryWriter frame;
-  frame.PutFixed32(static_cast<uint32_t>(payload.size()));
-  frame.PutFixed32(Crc32(payload));
-  frame.PutBytes(payload.data(), payload.size());
-  const std::string& bytes = frame.data();
+  std::string bytes;
+  AppendFrame(&bytes, payload);
   Status s = file_->Append(bytes);
   if (s.ok()) s = file_->Flush();
   if (!s.ok()) {
@@ -419,9 +431,13 @@ Status WalWriter::Append(std::string_view payload) {
   return Status::Ok();
 }
 
-Status ReplayWal(const std::string& path, QueryStore* store,
-                 WalReplayStats* stats, uint64_t min_sequence, Env* env) {
+Status ScanWalFrames(
+    const std::string& path, Env* env,
+    const std::function<bool(uint64_t sequence, std::string_view frame)>& fn,
+    WalReplayStats* stats) {
   if (env == nullptr) env = Env::Default();
+  WalReplayStats scan;
+  if (stats == nullptr) stats = &scan;
   *stats = WalReplayStats{};
   if (!env->FileExists(path)) {
     return Status::Ok();  // no log yet: fresh deployment
@@ -451,69 +467,50 @@ Status ReplayWal(const std::string& path, QueryStore* store,
     }
   }
 
-  std::string_view view(file);
-  size_t pos = kHeaderSize;
-  stats->bytes_valid = pos;
-  while (pos < file.size()) {
-    if (file.size() - pos < kFrameOverhead) break;  // torn frame header
-    BinaryReader frame(view.substr(pos, kFrameOverhead));
-    uint32_t len = frame.GetFixed32();
-    uint32_t stored_crc = frame.GetFixed32();
-    if (file.size() - pos - kFrameOverhead < len) break;  // torn payload
-    std::string_view payload = view.substr(pos + kFrameOverhead, len);
-    if (Crc32(payload) != stored_crc) break;  // torn / corrupted frame
+  std::string_view rest = std::string_view(file).substr(kHeaderSize);
+  stats->bytes_valid = kHeaderSize;
+  std::string_view payload;
+  // Anything but a whole frame — a short header, a short payload, a CRC
+  // mismatch — is the torn end of the committed prefix.
+  while (ParseFrame(rest, UINT32_MAX, &payload) == FrameParse::kFrame) {
     BinaryReader r(payload);
     uint64_t sequence = r.GetVarint();
     if (r.failed()) return CorruptWal(path, "missing sequence");
+    if (!fn(sequence, payload)) break;
     stats->max_sequence = std::max(stats->max_sequence, sequence);
     if (stats->min_sequence == 0 || sequence < stats->min_sequence) {
       stats->min_sequence = sequence;
     }
-    if (sequence <= min_sequence) {
-      // The snapshot already contains this mutation: a crash landed
-      // between the snapshot write and the WAL truncation. CRC already
-      // vouched for the frame; don't re-apply it.
-      ++stats->records_skipped;
-    } else {
-      CQMS_RETURN_IF_ERROR(ApplyWalRecord(&r, store, path));
-      if (!r.AtEnd()) return CorruptWal(path, "trailing payload bytes");
-      ++stats->records_applied;
-    }
-    pos += kFrameOverhead + len;
-    stats->bytes_valid = pos;
+    const size_t frame_bytes = kFrameHeaderBytes + payload.size();
+    rest.remove_prefix(frame_bytes);
+    stats->bytes_valid += frame_bytes;
   }
   stats->torn_bytes = file.size() - stats->bytes_valid;
   return Status::Ok();
 }
 
-Status ScanWalFrames(
-    const std::string& path, Env* env,
-    const std::function<bool(uint64_t sequence, std::string_view frame)>& fn) {
-  if (env == nullptr) env = Env::Default();
-  if (!env->FileExists(path)) return Status::Ok();
-  std::string file;
-  CQMS_RETURN_IF_ERROR(ReadFileToString(path, &file, env));
-  if (file.size() < kHeaderSize) return Status::Ok();  // torn header
-  if (file.compare(0, kWalMagic.size(), kWalMagic) != 0) {
-    return CorruptWal(path, "bad header");
-  }
-  std::string_view view(file);
-  size_t pos = kHeaderSize;
-  while (pos < file.size()) {
-    if (file.size() - pos < kFrameOverhead) break;
-    BinaryReader header(view.substr(pos, kFrameOverhead));
-    uint32_t len = header.GetFixed32();
-    uint32_t stored_crc = header.GetFixed32();
-    if (file.size() - pos - kFrameOverhead < len) break;
-    std::string_view payload = view.substr(pos + kFrameOverhead, len);
-    if (Crc32(payload) != stored_crc) break;
-    BinaryReader r(payload);
-    uint64_t sequence = r.GetVarint();
-    if (r.failed()) return CorruptWal(path, "missing sequence");
-    if (!fn(sequence, payload)) return Status::Ok();
-    pos += kFrameOverhead + len;
-  }
-  return Status::Ok();
+Status ReplayWal(const std::string& path, QueryStore* store,
+                 WalReplayStats* stats, uint64_t min_sequence, Env* env) {
+  Status apply;
+  CQMS_RETURN_IF_ERROR(ScanWalFrames(
+      path, env,
+      [&](uint64_t sequence, std::string_view frame) {
+        if (sequence <= min_sequence) {
+          // The snapshot already contains this mutation: a crash landed
+          // between the snapshot write and the WAL truncation. CRC
+          // already vouched for the frame; don't re-apply it.
+          ++stats->records_skipped;
+          return true;
+        }
+        BinaryReader r(frame);
+        r.GetVarint();  // the sequence, decoded by the scan
+        apply = ApplyWalRecord(&r, store, path);
+        if (!apply.ok()) return false;
+        ++stats->records_applied;
+        return true;
+      },
+      stats));
+  return apply;
 }
 
 }  // namespace cqms::storage

@@ -10,50 +10,21 @@
 #include "common/binary_codec.h"
 #include "common/status.h"
 #include "storage/env.h"
+#include "storage/mutation.h"
 #include "storage/query_store.h"
 
 namespace cqms::storage {
 
-/// Write-ahead log record types. Every durable QueryStore mutation maps
-/// to exactly one op; in-place stats edits are not logged (the next
-/// checkpoint snapshot captures them — see docs/persistence.md).
-enum class WalOp : uint8_t {
-  kAppend = 1,
-  kRewrite = 2,
-  kAnnotate = 3,
-  kFlagSet = 4,
-  kFlagClear = 5,
-  kSetSession = 6,
-  kSetQuality = 7,
-  kDelete = 8,
-  kAddUser = 9,
-  kSetVisibility = 10,
-};
+/// Appends `mutation`'s WAL payload — the op byte, then that op's
+/// fields (docs/persistence.md) — to `w`. Called for logged ops only;
+/// WalOp::kSyncOutput is never framed.
+void EncodeMutation(const Mutation& mutation, BinaryWriter* w);
 
-/// Payload encoders for each op (op byte included). Kept public so the
-/// durability tests can forge records when simulating corruption.
-namespace wal {
-std::string EncodeAppend(const QueryRecord& record);
-/// `signature` is the record's post-rewrite signature: rewrites
-/// preserve the output summary, whose hash contribution must ride in
-/// the frame (summaries are not persisted, so replay cannot refold it).
-std::string EncodeRewrite(QueryId id, std::string_view new_text,
-                          const SimilaritySignature& signature);
-std::string EncodeAnnotate(QueryId id, const Annotation& annotation);
-std::string EncodeFlagChange(QueryId id, QueryFlags flag, bool set);
-std::string EncodeSetSession(QueryId id, SessionId session);
-std::string EncodeSetQuality(QueryId id, double quality);
-std::string EncodeDelete(QueryId id);
-std::string EncodeAddUser(const std::string& user,
-                          const std::vector<std::string>& groups);
-std::string EncodeSetVisibility(QueryId id, Visibility visibility);
-}  // namespace wal
-
-/// Appends framed binary records to the log file. Each frame is
-/// [fixed32 payload length | fixed32 CRC32(payload) | payload], after an
-/// 8-byte magic + version header, and is flushed to the OS on every
-/// append (optionally fsync'd), so a record is recoverable the moment
-/// the mutation returns. A crash mid-frame leaves a torn tail that
+/// Appends framed binary records to the log file. Each record is one
+/// common/frame_codec frame (fixed32 length, fixed32 CRC32, payload),
+/// after an 8-byte magic + version header, and is flushed to the OS on
+/// every append (optionally fsync'd), so a record is recoverable the
+/// moment the mutation returns. A crash mid-frame leaves a torn tail that
 /// ReplayWal detects by length/CRC and discards.
 ///
 /// Write-failure discipline: after any failed append (or failed
@@ -152,14 +123,18 @@ struct WalReplayStats {
 /// including a record-type tag this build does not know, which a newer
 /// writer could have produced — and fails the replay with kCorruption.
 /// A missing file replays zero records successfully (fresh deployment).
+/// Built on ScanWalFrames.
 Status ReplayWal(const std::string& path, QueryStore* store,
                  WalReplayStats* stats, uint64_t min_sequence = 0,
                  Env* env = nullptr);
 
-/// Applies one WAL record payload to `store`. `r` is positioned just
-/// past the varint sequence number (i.e. at the op byte). `path` labels
-/// error messages. Shared by ReplayWal and the replication follower,
-/// which applies frames shipped off the primary's live WAL.
+/// Decodes one Mutation from the rest of `r`, demands that it consumes
+/// the payload exactly, then applies it to `store`. `r` is positioned
+/// just past the varint sequence number (i.e. at the op byte). `path`
+/// labels error messages. Any failure — a short or overlong payload,
+/// an unknown op tag, a mutation the store refuses — is kCorruption.
+/// The one apply path of ReplayWal and the replication follower, which
+/// applies frames shipped off the primary's live WAL.
 Status ApplyWalRecord(BinaryReader* r, QueryStore* store,
                       const std::string& path);
 
@@ -167,12 +142,17 @@ Status ApplyWalRecord(BinaryReader* r, QueryStore* store,
 /// them, calling `fn(sequence, frame)` in file order where `frame` is
 /// the full frame payload (varint sequence included) exactly as
 /// WalWriter::Append framed it. Stops early when `fn` returns false. A
-/// torn tail ends the scan silently (same tolerance as ReplayWal); a
-/// missing file scans zero frames successfully. Used by the WAL shipper
-/// to stream catch-up frames to a subscribing follower.
+/// torn tail (a short header, or a final frame that is truncated or
+/// fails its CRC) ends the scan; a missing file scans zero frames.
+/// A foreign header is kCorruption, an unknown version kIoError.
+/// `stats` (optional) receives the scan-level fields of
+/// WalReplayStats: sequence range, bytes_valid and torn_bytes. Used
+/// by ReplayWal and by the WAL shipper to stream catch-up frames to a
+/// subscribing follower.
 Status ScanWalFrames(
     const std::string& path, Env* env,
-    const std::function<bool(uint64_t sequence, std::string_view frame)>& fn);
+    const std::function<bool(uint64_t sequence, std::string_view frame)>& fn,
+    WalReplayStats* stats = nullptr);
 
 }  // namespace cqms::storage
 

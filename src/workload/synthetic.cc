@@ -238,7 +238,7 @@ Status PopulateLakeDatabase(db::Database* database, size_t rows_per_table,
 void RegisterUsers(storage::QueryStore* store, const WorkloadOptions& options) {
   for (size_t u = 0; u < options.num_users; ++u) {
     size_t group = u % std::max<size_t>(1, options.num_groups);
-    store->acl().AddUser(UserName(u), {"lab" + std::to_string(group)});
+    store->AddUser(UserName(u), {"lab" + std::to_string(group)});
   }
 }
 

@@ -20,7 +20,7 @@ class AssistFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     h_ = std::make_unique<Harness>();
-    h_->store.acl().AddUser("alice", {"lab"});
+    h_->store.AddUser("alice", {"lab"});
     for (int i = 0; i < 12; ++i) {
       h_->Log("alice",
               "SELECT S.salinity, T.temp FROM WaterSalinity S, WaterTemp T "
@@ -217,7 +217,7 @@ TEST_F(AssistFixture, RecommendationCarriesAnnotation) {
 
 TEST_F(AssistFixture, SessionPatternRestrictionFiltersStrangers) {
   // A stranger in the same group issues a structurally alien query.
-  h_->store.acl().AddUser("bob", {"lab"});
+  h_->store.AddUser("bob", {"lab"});
   h_->Log("bob", "SELECT sensor_id FROM Sensors WHERE kind = 'ph'");
 
   RecommendOptions opts;

@@ -50,8 +50,8 @@ TEST(SessionViewTest, DotEscapesQuotes) {
 
 TEST(BrowseTest, SummaryGroupsBySessionAndFiltersAcl) {
   Harness h;
-  h.store.acl().AddUser("alice", {"g1"});
-  h.store.acl().AddUser("eve", {"g2"});
+  h.store.AddUser("alice", {"g1"});
+  h.store.AddUser("eve", {"g2"});
   h.Log("alice", "SELECT * FROM WaterTemp WHERE temp < 22", kMicrosPerSecond);
   h.Log("alice", "SELECT * FROM WaterTemp WHERE temp < 18");
   auto sessions = miner::IdentifySessions(&h.store);

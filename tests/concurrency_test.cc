@@ -194,22 +194,6 @@ TEST(ReadViewTest, PinnedViewIsSnapshotIsolated) {
   EXPECT_TRUE(store.Get(a)->HasFlag(kFlagObsolete));
 }
 
-TEST(ReadViewTest, PublishEveryBatchesMutations) {
-  QueryStore store;
-  ViewOptions options;
-  options.publish_every = 4;
-  store.EnableViews(options);
-  uint64_t seq0 = store.published_sequence();
-  for (int i = 0; i < 3; ++i) {
-    store.Append(BuildRecordFromText("SELECT " + std::to_string(i), "u", i + 1));
-  }
-  EXPECT_EQ(store.published_sequence(), seq0);  // 3 < publish_every
-  store.Append(BuildRecordFromText("SELECT 99", "u", 99));
-  EXPECT_EQ(store.published_sequence(), seq0 + 1);
-  PinnedView view = store.PinView();
-  EXPECT_EQ(view->size(), 4u);
-}
-
 TEST(ReadViewTest, ScopedPublishBatchDefersToScopeExit) {
   QueryStore store;
   store.EnableViews();
@@ -250,7 +234,7 @@ TEST(ReadViewTest, SharedViewOutlivesRetirement) {
 
 TEST(ReadViewTest, SnapshotSavedFromViewMatchesLive) {
   QueryStore store;
-  store.acl().AddUser("alice", {"lab"});
+  store.AddUser("alice", {"lab"});
   store.EnableViews();
   store.Append(BuildRecordFromText("SELECT a FROM sensors", "alice", 1));
   store.Append(BuildRecordFromText("SELECT b FROM plants", "alice", 2));
@@ -274,7 +258,7 @@ TEST(ReadViewTest, ExecutorUsesViewsAndMatchesLivePath) {
   // return identical results through both paths.
   QueryStore with_views, live_only;
   for (QueryStore* s : {&with_views, &live_only}) {
-    s->acl().AddUser("alice", {"lab"});
+    s->AddUser("alice", {"lab"});
     for (int i = 0; i < 30; ++i) {
       std::string sql = "SELECT a, b FROM tbl" + std::to_string(i % 3) +
                         " WHERE a > " + std::to_string(i);
@@ -309,7 +293,7 @@ TEST(ReadViewTest, ExecutorUsesViewsAndMatchesLivePath) {
 
 // Deterministic mutation script: every step applies exactly one
 // mutation, so after k steps both the stress store and the replay store
-// have mutation_count() == base + k.
+// have mutation_count() == (user registrations) + k.
 struct Step {
   enum Kind { kAppend, kFlag } kind = kAppend;
   std::string sql;       // kAppend
@@ -368,11 +352,14 @@ TEST(ConcurrencyStressTest, ReadersSeeConsistentPrefixes) {
 
   QueryStore store;
   for (int u = 0; u < 4; ++u) {
-    store.acl().AddUser("u" + std::to_string(u), {"lab"});
+    store.AddUser("u" + std::to_string(u), {"lab"});
   }
+  // ACL changes count as mutations too.
+  const uint64_t acl_mutations = store.mutation_count();
+  ASSERT_EQ(acl_mutations, 4u);
   for (size_t i = 0; i < kPrefix; ++i) ApplyStep(&store, script[i]);
   const uint64_t base = store.mutation_count();
-  ASSERT_EQ(base, kPrefix);
+  ASSERT_EQ(base, acl_mutations + kPrefix);
   store.EnableViews();
 
   // Built after the prefix so the probe's table symbols are interned.
@@ -390,7 +377,7 @@ TEST(ConcurrencyStressTest, ReadersSeeConsistentPrefixes) {
     return request;
   };
 
-  // Expected log size after m mutations (appends among the first m steps).
+  // Expected log size after k steps (appends among the first k steps).
   std::vector<size_t> size_after(script.size() + 1, 0);
   for (size_t k = 0; k < script.size(); ++k) {
     size_after[k + 1] =
@@ -457,18 +444,19 @@ TEST(ConcurrencyStressTest, ReadersSeeConsistentPrefixes) {
 
   QueryStore replay;
   for (int u = 0; u < 4; ++u) {
-    replay.acl().AddUser("u" + std::to_string(u), {"lab"});
+    replay.AddUser("u" + std::to_string(u), {"lab"});
   }
   size_t applied = 0;
   for (const auto& [m, observed] : sampled) {
     ASSERT_GE(m, base);
-    ASSERT_LE(m, script.size());
-    while (applied < m) {
+    const uint64_t steps = m - acl_mutations;
+    ASSERT_LE(steps, script.size());
+    while (applied < steps) {
       ApplyStep(&replay, script[applied]);
       ++applied;
     }
     ASSERT_EQ(replay.mutation_count(), m);
-    EXPECT_EQ(observed.view_size, size_after[m]) << "at mutation " << m;
+    EXPECT_EQ(observed.view_size, size_after[steps]) << "at mutation " << m;
 
     metaquery::MetaQueryPlanner planner(&replay);
     metaquery::MetaQueryResponse knn =
@@ -491,7 +479,7 @@ TEST(ConcurrencyStressTest, ReadersSeeConsistentPrefixes) {
 // the old visibility, new views see the new rules.
 TEST(ReadViewTest, AclChangesPublishLikeMutations) {
   QueryStore store;
-  store.acl().AddUser("owner", {"lab"});
+  store.AddUser("owner", {"lab"});
   store.EnableViews();
   QueryId id =
       store.Append(BuildRecordFromText("SELECT a FROM sensors", "owner", 1));
@@ -506,7 +494,7 @@ TEST(ReadViewTest, AclChangesPublishLikeMutations) {
 
   // ACL mutations tick publication like record mutations do.
   uint64_t seq = store.published_sequence();
-  store.acl().AddUser("stranger", {"lab"});
+  store.AddUser("stranger", {"lab"});
   EXPECT_GT(store.published_sequence(), seq);
 
   PinnedView after = store.PinView();

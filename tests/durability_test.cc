@@ -6,7 +6,11 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/binary_codec.h"
 #include "common/string_util.h"
@@ -310,13 +314,13 @@ TEST(SnapshotV2Test, MutatedStateSurvivesRoundTrip) {
   QueryId a = h.Log("alice", "SELECT temp FROM WaterTemp WHERE temp < 18");
   QueryId b = h.Log("alice", "SELECT * FROM CityLocations");
   QueryId c = h.Log("bob", "SELEKT broken");
-  h.store.acl().AddUser("alice", {"oceans"});
-  h.store.acl().AddUser("bob", {"oceans"});
+  h.store.AddUser("alice", {"oceans"});
+  h.store.AddUser("bob", {"oceans"});
   ASSERT_TRUE(h.store.SetQuality(a, 0.9).ok());
   ASSERT_TRUE(h.store.AddFlag(a, kFlagRepaired).ok());
   ASSERT_TRUE(h.store.SetSession(a, 7).ok());
   ASSERT_TRUE(
-      h.store.acl().SetVisibility(a, "alice", "alice", Visibility::kPublic).ok());
+      h.store.SetVisibility(a, "alice", Visibility::kPublic).ok());
   ASSERT_TRUE(h.store.Delete(b, "alice").ok());
   Annotation note;
   note.author = "alice";
@@ -510,8 +514,8 @@ TEST(SnapshotV2Test, CorruptSnapshotsAreRejected) {
 /// store; returns the ids (append order) for later comparison.
 std::vector<QueryId> ApplyCommittedMutations(Harness* h) {
   QueryStore& store = h->store;
-  store.acl().AddUser("alice", {"oceans"});
-  store.acl().AddUser("bob", {"lakes"});
+  store.AddUser("alice", {"oceans"});
+  store.AddUser("bob", {"lakes"});
   QueryId a = h->Log("alice", "SELECT temp FROM WaterTemp WHERE temp < 18");
   QueryId b = h->Log("bob", "SELECT * FROM CityLocations");
   QueryId c = h->Log("alice", "SELEKT not sql");  // logged parse failure
@@ -529,7 +533,7 @@ std::vector<QueryId> ApplyCommittedMutations(Harness* h) {
   EXPECT_TRUE(store.SetSession(a, 3).ok());
   EXPECT_TRUE(store.SetQuality(a, 0.8).ok());
   EXPECT_TRUE(
-      store.acl().SetVisibility(a, "alice", "alice", Visibility::kPrivate).ok());
+      store.SetVisibility(a, "alice", Visibility::kPrivate).ok());
   EXPECT_TRUE(store.Delete(c, "alice").ok());
   return {a, b, c};
 }
@@ -697,6 +701,282 @@ TEST(WalTest, TornInitialHeaderRecoversToEmpty) {
   Harness h2;
   DurableStore foreign(&h2.store, dir);
   EXPECT_EQ(foreign.Open().code(), StatusCode::kCorruption);
+}
+
+// --- WAL record format -------------------------------------------------------
+
+/// One payload per WAL op (op byte onward), pinned from the per-op
+/// encoders that predate EncodeMutation. Logs already on disk hold these
+/// bytes, so the encoder must keep producing them and replay must keep
+/// reading them.
+struct GoldenPayload {
+  const char* name;
+  const char* hex;
+};
+const GoldenPayload kGoldenPayloads[] = {
+    {"append",
+     "01012a53454c4543542074656d702046524f4d20576174657254656d70205748455245"
+     "2074656d70203c20313805616c69636580897a0602000000000000e83fa41305280100"
+     "0e7363616e20576174657254656d70030723be070000"},
+    {"append_unparsed",
+     "01000d53454c454b542062726f6b656e03626f628092f4010100000000000000e03f00"
+     "0000000b7061727365206572726f7200000001"},
+    {"rewrite",
+     "02002a53454c4543542074656d702046524f4d20576174657254656d70205748455245"
+     "2074656d70203c2032300001"},
+    {"annotate", "030003626f629a010a636f6c642073697465730974656d70203c203230"},
+    {"flag_set", "040008"},
+    {"flag_clear", "050002"},
+    {"set_session", "060012"},
+    {"set_quality", "0700000000000000d03f"},
+    {"delete", "0801"},
+    {"add_user", "09056361726f6c02056c616b6573066f6365616e73"},
+    {"set_visibility", "0a0002"},
+};
+constexpr size_t kNumGolden =
+    sizeof(kGoldenPayloads) / sizeof(kGoldenPayloads[0]);
+
+std::string FromHex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+std::string ToHex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
+}
+
+/// The mutations kGoldenPayloads encodes, in the same order.
+std::vector<Mutation> GoldenMutations() {
+  std::vector<Mutation> out;
+  // `decoded` owns the record, as it does for a mutation read off a log.
+  auto with_record = [&out](WalOp op, QueryRecord record) {
+    Mutation m(op, record.id);
+    m.decoded = std::make_unique<QueryRecord>(std::move(record));
+    m.record = m.decoded.get();
+    out.push_back(std::move(m));
+  };
+  QueryRecord a = BuildRecordFromText(
+      "SELECT temp FROM WaterTemp WHERE temp < 18", "alice", 1000000);
+  a.id = 0;
+  a.session_id = 3;
+  a.flags = kFlagRepaired;
+  a.quality = 0.75;
+  a.stats.execution_micros = 1234;
+  a.stats.result_rows = 5;
+  a.stats.rows_scanned = 40;
+  a.stats.plan = "scan WaterTemp";
+  a.signature.output_rows = {7, 42, 1000};
+  with_record(WalOp::kAppend, std::move(a));
+
+  QueryRecord b = BuildRecordFromText("SELEKT broken", "bob", 2000000);
+  b.id = 1;
+  b.stats.succeeded = false;
+  b.stats.error = "parse error";
+  with_record(WalOp::kAppend, std::move(b));
+
+  QueryRecord rewritten = BuildRecordFromText(
+      "SELECT temp FROM WaterTemp WHERE temp < 20", "alice", 1000000);
+  rewritten.id = 0;
+  rewritten.signature.output_rows.clear();
+  rewritten.signature.output_empty_computed = true;
+  with_record(WalOp::kRewrite, std::move(rewritten));
+
+  Mutation note(WalOp::kAnnotate, 0);
+  note.annotation = {"bob", 77, "cold sites", "temp < 20"};
+  out.push_back(std::move(note));
+  Mutation flag_set(WalOp::kFlagSet, 0);
+  flag_set.flag = kFlagStatsStale;
+  out.push_back(std::move(flag_set));
+  Mutation flag_clear(WalOp::kFlagClear, 0);
+  flag_clear.flag = kFlagRepaired;
+  out.push_back(std::move(flag_clear));
+  Mutation session(WalOp::kSetSession, 0);
+  session.session = 9;
+  out.push_back(std::move(session));
+  Mutation quality(WalOp::kSetQuality, 0);
+  quality.quality = 0.25;
+  out.push_back(std::move(quality));
+  out.emplace_back(WalOp::kDelete, 1);
+  Mutation user(WalOp::kAddUser, kInvalidQueryId);
+  user.user = "carol";
+  user.groups = {"lakes", "oceans"};
+  out.push_back(std::move(user));
+  Mutation visibility(WalOp::kSetVisibility, 0);
+  visibility.visibility = Visibility::kPublic;
+  out.push_back(std::move(visibility));
+  return out;
+}
+
+/// A version-1 WAL file: header, then `payloads` framed by hand
+/// (fixed32 length, fixed32 CRC, varint sequence + payload) with
+/// sequences 1, 2, ...
+std::string WalImage(const std::vector<std::string>& payloads) {
+  BinaryWriter w;
+  w.PutBytes("CQMSWAL1", 8);
+  w.PutFixed32(1);
+  uint64_t sequence = 0;
+  for (const std::string& payload : payloads) {
+    BinaryWriter body;
+    body.PutVarint(++sequence);
+    body.PutBytes(payload.data(), payload.size());
+    w.PutFixed32(static_cast<uint32_t>(body.data().size()));
+    w.PutFixed32(Crc32(body.data()));
+    w.PutBytes(body.data().data(), body.data().size());
+  }
+  return w.Take();
+}
+
+std::vector<std::string> GoldenBytes() {
+  std::vector<std::string> out;
+  for (const GoldenPayload& g : kGoldenPayloads) out.push_back(FromHex(g.hex));
+  return out;
+}
+
+TEST(WalGoldenTest, EncodeMutationReproducesPinnedBytes) {
+  std::vector<Mutation> mutations = GoldenMutations();
+  ASSERT_EQ(mutations.size(), kNumGolden);
+  for (size_t i = 0; i < kNumGolden; ++i) {
+    BinaryWriter w;
+    EncodeMutation(mutations[i], &w);
+    EXPECT_EQ(ToHex(w.data()), kGoldenPayloads[i].hex)
+        << kGoldenPayloads[i].name;
+  }
+}
+
+TEST(WalGoldenTest, PinnedLogReplaysToExpectedState) {
+  const std::string path = TempPath("cqms_wal_golden.log");
+  WriteFile(path, WalImage(GoldenBytes()));
+  QueryStore store;
+  WalReplayStats stats;
+  ASSERT_TRUE(ReplayWal(path, &store, &stats).ok());
+  EXPECT_EQ(stats.records_applied, kNumGolden);
+  EXPECT_EQ(stats.torn_bytes, 0u);
+  ASSERT_EQ(store.size(), 2u);
+
+  const QueryRecord* a = store.Get(0);
+  EXPECT_EQ(a->text, "SELECT temp FROM WaterTemp WHERE temp < 20");
+  EXPECT_FALSE(a->parse_failed());
+  EXPECT_EQ(a->user, "alice");
+  EXPECT_EQ(a->timestamp, 1000000);
+  EXPECT_EQ(a->session_id, 9);
+  EXPECT_EQ(a->flags, static_cast<uint32_t>(kFlagStatsStale));
+  EXPECT_EQ(a->quality, 0.25);
+  EXPECT_EQ(a->stats.execution_micros, 1234);
+  EXPECT_EQ(a->stats.result_rows, 5u);
+  EXPECT_EQ(a->stats.rows_scanned, 40u);
+  EXPECT_EQ(a->stats.plan, "scan WaterTemp");
+  EXPECT_TRUE(a->signature.output_rows.empty());
+  EXPECT_TRUE(a->signature.output_empty_computed);
+  ASSERT_EQ(a->annotations.size(), 1u);
+  EXPECT_EQ(a->annotations[0].author, "bob");
+  EXPECT_EQ(a->annotations[0].timestamp, 77);
+  EXPECT_EQ(a->annotations[0].text, "cold sites");
+  EXPECT_EQ(a->annotations[0].fragment, "temp < 20");
+
+  const QueryRecord* b = store.Get(1);
+  EXPECT_EQ(b->text, "SELEKT broken");
+  EXPECT_TRUE(b->parse_failed());
+  EXPECT_EQ(b->user, "bob");
+  EXPECT_TRUE(b->HasFlag(kFlagDeleted));
+  EXPECT_FALSE(b->stats.succeeded);
+  EXPECT_EQ(b->stats.error, "parse error");
+
+  EXPECT_EQ(store.acl().GroupsOf("carol"),
+            (std::set<std::string>{"lakes", "oceans"}));
+  EXPECT_EQ(store.acl().GetVisibility(0), Visibility::kPublic);
+  EXPECT_EQ(store.acl().GetVisibility(1), Visibility::kGroup);
+}
+
+TEST(WalGoldenTest, TrailingByteIsCorruptionForRecoveryAndReplicas) {
+  // An intact frame (valid length and CRC) whose payload runs one byte
+  // past its mutation.
+  const std::vector<std::string> payloads = GoldenBytes();
+  const std::string quality = payloads[7] + '\0';  // set_quality + 1 byte
+
+  // Recovery: ReplayWal refuses the log.
+  const std::string path = TempPath("cqms_wal_trailing.log");
+  WriteFile(path, WalImage({payloads[0], quality}));
+  QueryStore recovered;
+  WalReplayStats stats;
+  Status replay = ReplayWal(path, &recovered, &stats);
+  EXPECT_EQ(replay.code(), StatusCode::kCorruption) << replay.ToString();
+  EXPECT_NE(replay.message().find("trailing payload bytes"),
+            std::string::npos);
+
+  // Replicas: the follower applies each shipped frame through
+  // ApplyWalRecord, which must refuse it the same way — before the
+  // mutation touches the store.
+  QueryStore replica;
+  BinaryReader append(payloads[0]);
+  ASSERT_TRUE(ApplyWalRecord(&append, &replica, "replication stream").ok());
+  BinaryReader r(quality);
+  Status apply = ApplyWalRecord(&r, &replica, "replication stream");
+  EXPECT_EQ(apply.code(), StatusCode::kCorruption) << apply.ToString();
+  EXPECT_EQ(replica.Get(0)->quality, 0.75);
+}
+
+TEST(WalGoldenTest, HostilePayloadsYieldOkOrTypedCorruption) {
+  const std::vector<std::string> golden = GoldenBytes();
+  // One scratch store takes every attempt; the two golden appends give
+  // the id-addressed ops real records to land on.
+  QueryStore store;
+  for (size_t i = 0; i < 2; ++i) {
+    BinaryReader r(golden[i]);
+    ASSERT_TRUE(ApplyWalRecord(&r, &store, "seed").ok());
+  }
+  size_t attempts = 0;
+  size_t applied = 0;
+  auto attempt = [&](const std::string& payload, const std::string& what) {
+    ++attempts;
+    BinaryReader r(payload);
+    Status s = ApplyWalRecord(&r, &store, "hostile");
+    if (s.ok()) ++applied;
+    EXPECT_TRUE(s.ok() || s.code() == StatusCode::kCorruption)
+        << what << ": " << s.ToString();
+  };
+
+  std::mt19937_64 rng(20240611);
+  for (size_t g = 0; g < golden.size(); ++g) {
+    const std::string& payload = golden[g];
+    const std::string name = kGoldenPayloads[g].name;
+    for (size_t n = 0; n < payload.size(); ++n) {
+      attempt(payload.substr(0, n),
+              name + " truncated to " + std::to_string(n));
+    }
+    for (int flip = 0; flip < 64; ++flip) {
+      std::string mutated = payload;
+      const uint64_t bits = 1 + rng() % 3;
+      for (uint64_t k = 0; k < bits; ++k) {
+        const size_t bit = rng() % (mutated.size() * 8);
+        mutated[bit / 8] =
+            static_cast<char>(mutated[bit / 8] ^ (1 << (bit % 8)));
+      }
+      attempt(mutated, name + " flip #" + std::to_string(flip));
+    }
+  }
+  for (int i = 0; i < 512; ++i) {
+    // A plausible op byte (known and unknown tags alike), then noise.
+    std::string payload(1, static_cast<char>(rng() % 12));
+    const size_t len = rng() % 48;
+    for (size_t k = 0; k < len; ++k) {
+      payload.push_back(static_cast<char>(rng()));
+    }
+    attempt(payload, "random #" + std::to_string(i));
+  }
+  EXPECT_GT(attempts, 1000u);
+  // Some mangled frames still decode and apply: the fuzz reaches the
+  // store's mutators, not only the decoder.
+  EXPECT_GT(applied, 0u);
 }
 
 TEST(MigrationTest, V1SnapshotLoadsAndCheckpointsToV2) {

@@ -62,8 +62,8 @@ bool ApplyStep(Harness* h, DurableStore* durable, int step,
                std::vector<QueryId>* ids) {
   QueryStore& store = h->store;
   switch (step) {
-    case 0: store.acl().AddUser("alice", {"oceans"}); return true;
-    case 1: store.acl().AddUser("bob", {"lakes"}); return true;
+    case 0: store.AddUser("alice", {"oceans"}); return true;
+    case 1: store.AddUser("bob", {"lakes"}); return true;
     case 2:
       ids->push_back(h->Log("alice", "SELECT temp FROM WaterTemp WHERE temp < 18"));
       return true;
@@ -97,9 +97,7 @@ bool ApplyStep(Harness* h, DurableStore* durable, int step,
     case 11: return store.SetSession((*ids)[0], 3).ok();
     case 12: return store.SetQuality((*ids)[0], 0.8).ok();
     case 13:
-      return store.acl()
-          .SetVisibility((*ids)[0], "alice", "alice", Visibility::kPrivate)
-          .ok();
+      return store.SetVisibility((*ids)[0], "alice", Visibility::kPrivate).ok();
     case 14:
       ids->push_back(h->Log("bob", "SELECT city FROM CityLocations"));
       return true;
@@ -121,9 +119,7 @@ bool ApplyStep(Harness* h, DurableStore* durable, int step,
       ids->push_back(h->Log("bob", "SELECT * FROM WaterTemp"));
       return true;
     case 22:
-      return store.acl()
-          .SetVisibility((*ids)[1], "bob", "bob", Visibility::kPublic)
-          .ok();
+      return store.SetVisibility((*ids)[1], "bob", Visibility::kPublic).ok();
     case 23: return store.SetSession((*ids)[3], 4).ok();
   }
   ADD_FAILURE() << "no such step " << step;

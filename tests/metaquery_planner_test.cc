@@ -302,7 +302,7 @@ TEST(CombinedRequestTest, KeywordStructureLogOrderMatchesBruteForce) {
 
 TEST(CombinedRequestTest, SubstringPlusDataOnSmallLog) {
   Harness h;
-  h.store.acl().AddUser("alice", {"lab"});
+  h.store.AddUser("alice", {"lab"});
   h.Log("alice", "SELECT lake FROM WaterTemp WHERE lake = 'Washington'");
   h.Log("alice", "SELECT lake FROM WaterTemp WHERE lake = 'Union'");
   h.Log("alice", "SELECT city FROM CityLocations WHERE state = 'WA'");
@@ -363,8 +363,8 @@ TEST(PlannerGeneratorTest, PicksCheapestGenerator) {
 
 TEST(VisibilityCacheInvalidationTest, CachedViewerRechecksAfterGroupChange) {
   Harness h;
-  h.store.acl().AddUser("alice", {"lab"});
-  h.store.acl().AddUser("eve", {"other"});
+  h.store.AddUser("alice", {"lab"});
+  h.store.AddUser("eve", {"other"});
   QueryId q = h.Log("alice", "SELECT * FROM WaterTemp WHERE temp < 20");
   MetaQueryExecutor executor(&h.store);
 
@@ -373,14 +373,13 @@ TEST(VisibilityCacheInvalidationTest, CachedViewerRechecksAfterGroupChange) {
   EXPECT_TRUE(executor.Knn("eve", *h.store.Get(q), 5).empty());
 
   // eve joins alice's group: the cached decision must be re-checked.
-  h.store.acl().AddUser("eve", {"lab"});
+  h.store.AddUser("eve", {"lab"});
   EXPECT_EQ(executor.Keyword("eve", "watertemp"), (std::vector<QueryId>{q}));
   EXPECT_FALSE(executor.Knn("eve", *h.store.Get(q), 5).empty());
 
   // Owner makes the query private: cached positive must drop too.
-  ASSERT_TRUE(h.store.acl()
-                  .SetVisibility(q, "alice", "alice", storage::Visibility::kPrivate)
-                  .ok());
+  ASSERT_TRUE(
+      h.store.SetVisibility(q, "alice", storage::Visibility::kPrivate).ok());
   EXPECT_TRUE(executor.Keyword("eve", "watertemp").empty());
   EXPECT_EQ(executor.Keyword("alice", "watertemp"),
             (std::vector<QueryId>{q}));  // owners always see their own
@@ -390,8 +389,8 @@ TEST(VisibilityCacheInvalidationTest, CachedViewerRechecksAfterGroupChange) {
 
 TEST(ScoringColumnsCoherenceTest, MutationsKeepPlannerEqualToReference) {
   Harness h;
-  h.store.acl().AddUser("alice", {"lab"});
-  h.store.acl().AddUser("bob", {"lab"});
+  h.store.AddUser("alice", {"lab"});
+  h.store.AddUser("bob", {"lab"});
   std::vector<QueryId> ids;
   ids.push_back(h.Log("alice", "SELECT * FROM WaterTemp WHERE temp < 20"));
   ids.push_back(h.Log("bob", "SELECT * FROM WaterTemp WHERE temp < 21"));

@@ -64,9 +64,9 @@ class MetaQueryFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     h_ = std::make_unique<Harness>();
-    h_->store.acl().AddUser("alice", {"lab"});
-    h_->store.acl().AddUser("bob", {"lab"});
-    h_->store.acl().AddUser("eve", {"other"});
+    h_->store.AddUser("alice", {"lab"});
+    h_->store.AddUser("bob", {"lab"});
+    h_->store.AddUser("eve", {"other"});
     correlate_ = h_->Log("alice",
                          "SELECT S.salinity, T.temp FROM WaterSalinity S, "
                          "WaterTemp T WHERE S.loc_x = T.loc_x AND T.temp < 18");

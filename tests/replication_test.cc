@@ -18,6 +18,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -27,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "common/binary_codec.h"
+#include "common/frame_codec.h"
 #include "core/cqms.h"
 #include "net/wire.h"
 #include "netclient/client.h"
@@ -631,6 +633,40 @@ TEST(ReplicationTest, SnapshotBootstrapWhenBehindRetainedWal) {
   auto found = reader->Search("alice", spec);
   ASSERT_TRUE(found.ok()) << found.status();
   EXPECT_GT(found->matches.size(), 0u);
+}
+
+TEST(ReplicationTest, FrameWithTrailingByteIsRefusedNotApplied) {
+  // A frame recovery would refuse — intact length and CRC, but one byte
+  // past its mutation — must not reach a replica's store either: the
+  // follower drops it and re-bootstraps from a snapshot.
+  Primary primary("repl_trailing_byte");
+  auto writer = primary.Client();
+  ASSERT_NE(writer, nullptr);
+  primary.AppendN(writer.get(), 1, "target");  // query 0
+  {
+    // Planted in the active WAL, where subscription catch-up reads it:
+    // SetQuality(query 0, 0.25) at the next sequence, plus a stray byte.
+    BinaryWriter body;
+    body.PutVarint(primary.sequence + 1);
+    body.PutU8(static_cast<uint8_t>(storage::WalOp::kSetQuality));
+    body.PutVarint(0);
+    body.PutDouble(0.25);
+    body.PutU8(0);
+    std::string frame;
+    AppendFrame(&frame, body.data());
+    std::ofstream out(primary.dir + "/wal.log",
+                      std::ios::binary | std::ios::app);
+    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  }
+
+  Replica replica(primary.address(), primary.port());
+  ASSERT_TRUE(WaitUntil([&] {
+    return replica.follower->GetStats().snapshots_loaded >= 1;
+  })) << "the follower applied the frame instead of refusing it";
+  EXPECT_LE(replica.follower->GetStats().applied_sequence, primary.sequence);
+  std::shared_ptr<Cqms> replica_cqms = replica.server->CurrentCqms();
+  EXPECT_EQ(replica_cqms->CurrentReadView()->Get(0)->quality,
+            primary.cqms.CurrentReadView()->Get(0)->quality);
 }
 
 TEST(ReplicationTest, FollowerRestartCatchesUpFromScratch) {

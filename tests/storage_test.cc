@@ -111,9 +111,9 @@ TEST(QueryStoreTest, DeleteRequiresOwnerOrAdmin) {
 
 TEST(AccessControlTest, GroupVisibilityRules) {
   QueryStore store;
-  store.acl().AddUser("alice", {"oceans"});
-  store.acl().AddUser("bob", {"oceans", "lakes"});
-  store.acl().AddUser("carol", {"astro"});
+  store.AddUser("alice", {"oceans"});
+  store.AddUser("bob", {"oceans", "lakes"});
+  store.AddUser("carol", {"astro"});
   QueryId id = store.Append(BuildRecordFromText("SELECT 1", "alice", 1));
 
   // Default visibility is kGroup.
@@ -122,26 +122,23 @@ TEST(AccessControlTest, GroupVisibilityRules) {
   EXPECT_FALSE(store.Visible("carol", id));
 
   // Private: owner only.
-  ASSERT_TRUE(store.acl().SetVisibility(id, "alice", "alice",
-                                        Visibility::kPrivate).ok());
+  ASSERT_TRUE(store.SetVisibility(id, "alice", Visibility::kPrivate).ok());
   EXPECT_FALSE(store.Visible("bob", id));
   EXPECT_TRUE(store.Visible("alice", id));
 
   // Public: everyone.
-  ASSERT_TRUE(store.acl().SetVisibility(id, "alice", "alice",
-                                        Visibility::kPublic).ok());
+  ASSERT_TRUE(store.SetVisibility(id, "alice", Visibility::kPublic).ok());
   EXPECT_TRUE(store.Visible("carol", id));
 
   // Only the owner may change visibility.
-  EXPECT_EQ(store.acl().SetVisibility(id, "alice", "bob",
-                                      Visibility::kPrivate).code(),
+  EXPECT_EQ(store.SetVisibility(id, "bob", Visibility::kPrivate).code(),
             StatusCode::kPermissionDenied);
 }
 
 TEST(AccessControlTest, VisibleIdsFiltersWholeLog) {
   QueryStore store;
-  store.acl().AddUser("alice", {"g1"});
-  store.acl().AddUser("eve", {"g2"});
+  store.AddUser("alice", {"g1"});
+  store.AddUser("eve", {"g2"});
   store.Append(BuildRecordFromText("SELECT 1", "alice", 1));
   store.Append(BuildRecordFromText("SELECT 2", "alice", 2));
   EXPECT_EQ(store.VisibleIds("alice").size(), 2u);
@@ -189,7 +186,7 @@ TEST(QueryStoreTest, RewriteQueryTextRebuildsEverything) {
 
 TEST(PersistenceTest, SaveLoadRoundTrip) {
   QueryStore store;
-  store.acl().AddUser("alice", {"oceans", "lakes"});
+  store.AddUser("alice", {"oceans", "lakes"});
   QueryId a = store.Append(BuildRecordFromText(
       "SELECT * FROM WaterTemp WHERE temp < 18 -- probe", "alice", 1000));
   store.Append(BuildRecordFromText("SELEKT broken", "bob", 2000));
@@ -203,7 +200,7 @@ TEST(PersistenceTest, SaveLoadRoundTrip) {
   note.fragment = "temp < 18";
   ASSERT_TRUE(store.Annotate(a, note).ok());
   ASSERT_TRUE(
-      store.acl().SetVisibility(a, "alice", "alice", Visibility::kPublic).ok());
+      store.SetVisibility(a, "alice", Visibility::kPublic).ok());
   QueryRecord* rec = store.GetMutable(a);
   rec->stats.execution_micros = 4242;
   rec->stats.result_rows = 17;
