@@ -14,8 +14,8 @@
 
 #include "bench_util.h"
 #include "common/string_util.h"
-#include "metaquery/knn.h"
 #include "metaquery/meta_query_executor.h"
+#include "metaquery_oracles.h"
 #include "storage/persistence.h"
 #include "storage/record_builder.h"
 #include "storage/snapshot_v2.h"
@@ -34,9 +34,10 @@ void BM_KnnByLogSize(benchmark::State& state) {
   // brute-force baseline that BM_KnnLsh is compared against.
   metaquery::CandidateOptions exhaustive;
   exhaustive.use_lsh = false;
+  metaquery::MetaQueryExecutor executor(&f.store);
   for (auto _ : state) {
     auto neighbors =
-        metaquery::KnnSearch(f.store, "user0", probe, 10, {}, {}, exhaustive);
+        metaquery::Knn(executor, "user0", probe, 10, {}, {}, exhaustive);
     benchmark::DoNotOptimize(neighbors);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
@@ -52,9 +53,9 @@ void BM_KnnLsh(benchmark::State& state) {
   storage::QueryRecord probe = storage::BuildRecordFromText(kProbe, "user0", 0);
   metaquery::CandidateOptions lsh;
   lsh.lsh_min_log_size = 0;  // measure the LSH path at every size
+  metaquery::MetaQueryExecutor executor(&f.store);
   for (auto _ : state) {
-    auto neighbors =
-        metaquery::KnnSearch(f.store, "user0", probe, 10, {}, {}, lsh);
+    auto neighbors = metaquery::Knn(executor, "user0", probe, 10, {}, {}, lsh);
     benchmark::DoNotOptimize(neighbors);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
@@ -63,10 +64,11 @@ void BM_KnnLsh(benchmark::State& state) {
 }
 BENCHMARK(BM_KnnLsh)->Arg(1000)->Arg(5000)->Arg(20000)->ArgNames({"queries"});
 
-// The pre-columnar scoring loop (KnnSearchReference reads candidates
-// through the record deque and the fingerprint hash index) on the same
-// LSH candidates — the denominator of the columnar-scoring speedup
-// BM_KnnLsh / BM_KnnLshReference tracks per PR.
+// The pre-columnar scoring loop (KnnSearchReference, the test oracle in
+// tests/metaquery_oracles.h, reads candidates through the record deque
+// and the fingerprint hash index) on the same LSH candidates — the
+// denominator of the columnar-scoring speedup BM_KnnLsh /
+// BM_KnnLshReference tracks per PR.
 void BM_KnnLshReference(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   storage::QueryRecord probe = storage::BuildRecordFromText(kProbe, "user0", 0);
@@ -118,9 +120,10 @@ BENCHMARK(BM_MetaQueryCombined)
 void BM_KnnByK(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(5000);
   storage::QueryRecord probe = storage::BuildRecordFromText(kProbe, "user0", 0);
+  metaquery::MetaQueryExecutor executor(&f.store);
   for (auto _ : state) {
-    auto neighbors = metaquery::KnnSearch(f.store, "user0", probe,
-                                          static_cast<size_t>(state.range(0)));
+    auto neighbors = metaquery::Knn(executor, "user0", probe,
+                                    static_cast<size_t>(state.range(0)));
     benchmark::DoNotOptimize(neighbors);
   }
 }
@@ -139,8 +142,9 @@ void BM_KnnSimilarityMix(benchmark::State& state) {
     weights.text = 0.8;
     weights.output = 0;
   }  // else default combined mix
+  metaquery::MetaQueryExecutor executor(&f.store);
   for (auto _ : state) {
-    auto neighbors = metaquery::KnnSearch(f.store, "user0", probe, 10, weights);
+    auto neighbors = metaquery::Knn(executor, "user0", probe, 10, weights);
     benchmark::DoNotOptimize(neighbors);
   }
 }

@@ -13,6 +13,7 @@
 
 #include "bench_util.h"
 #include "metaquery/meta_query_executor.h"
+#include "metaquery_oracles.h"
 #include "sql/parser.h"
 
 namespace cqms {
@@ -23,9 +24,11 @@ const char* kViewer = "user0";
 void BM_KeywordSearch(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   metaquery::MetaQueryExecutor executor(&f.store);
+  metaquery::MetaQueryRequest request;
+  request.WithKeywords("salinity temp");
   size_t found = 0;
   for (auto _ : state) {
-    auto ids = executor.Keyword(kViewer, "salinity temp");
+    auto ids = metaquery::LogOrderIds(executor, kViewer, request);
     found = ids.size();
     benchmark::DoNotOptimize(ids);
   }
@@ -37,8 +40,10 @@ BENCHMARK(BM_KeywordSearch)->Arg(1000)->Arg(5000)->Arg(20000)->ArgNames({"querie
 void BM_SubstringSearch(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   metaquery::MetaQueryExecutor executor(&f.store);
+  metaquery::MetaQueryRequest request;
+  request.WithSubstring("loc_x = T.loc_x");
   for (auto _ : state) {
-    auto ids = executor.Substring(kViewer, "loc_x = T.loc_x");
+    auto ids = metaquery::LogOrderIds(executor, kViewer, request);
     benchmark::DoNotOptimize(ids);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());
@@ -53,9 +58,11 @@ void BM_FeatureQueryNative(benchmark::State& state) {
       .UsesAttribute("watertemp", "temp")
       .HasPredicateOn("watertemp", "temp", "<")
       .SucceededOnly();
+  metaquery::MetaQueryRequest request;
+  request.WithFeature(query);
   size_t found = 0;
   for (auto _ : state) {
-    auto ids = executor.ByFeature(kViewer, query);
+    auto ids = metaquery::LogOrderIds(executor, kViewer, request);
     found = ids.size();
     benchmark::DoNotOptimize(ids);
   }
@@ -109,8 +116,10 @@ void BM_StructuralSearch(benchmark::State& state) {
   pattern.required_tables = {"watertemp"};
   pattern.required_predicate_skeletons = {"watertemp.temp < ?"};
   pattern.min_joins = 1;
+  metaquery::MetaQueryRequest request;
+  request.WithStructure(pattern);
   for (auto _ : state) {
-    auto ids = executor.ByStructure(kViewer, pattern);
+    auto ids = metaquery::LogOrderIds(executor, kViewer, request);
     benchmark::DoNotOptimize(ids);
   }
   state.counters["log_size"] = static_cast<double>(f.store.size());

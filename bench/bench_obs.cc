@@ -9,7 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "metaquery/meta_query_planner.h"
+#include "metaquery/meta_query_executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/record_builder.h"
@@ -63,19 +63,19 @@ void BM_ExpositionText(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpositionText);
 
-/// One keyword+ranked request through the planner; `traced` attaches a
+/// One keyword+ranked request through the executor; `traced` attaches a
 /// fresh ExecTrace per iteration (the per-request cost a client pays for
 /// --explain, including the span clock reads).
 void RunPlannerSearch(benchmark::State& state, bool traced) {
   LogFixture& fixture = GetFixture(5000);
-  metaquery::MetaQueryPlanner planner(&fixture.store);
+  metaquery::MetaQueryExecutor executor(&fixture.store);
   uint64_t matches = 0;
   for (auto _ : state) {
     metaquery::MetaQueryRequest req;
     req.WithKeywords("lake temp", true).Limit(10);
     obs::ExecTrace trace;
     if (traced) req.trace = &trace;
-    metaquery::MetaQueryResponse resp = planner.Execute("user1", req);
+    metaquery::MetaQueryResponse resp = executor.Execute("user1", req);
     matches += resp.matches.size();
     benchmark::DoNotOptimize(resp.candidates_considered);
   }

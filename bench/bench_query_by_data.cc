@@ -6,12 +6,14 @@
 // across log sizes — the efficiency/exactness trade-off the paper calls
 // "a challenging problem". Expected shape: summary-only scales with log
 // size alone; re-execution adds cost proportional to the number of
-// incomplete summaries.
+// incomplete summaries. Every series runs the request through
+// MetaQueryExecutor::Execute, the production path.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "metaquery/query_by_data.h"
+#include "metaquery/meta_query_executor.h"
+#include "metaquery_oracles.h"
 
 namespace cqms {
 namespace {
@@ -26,10 +28,12 @@ std::vector<metaquery::DataExample> LakeExamples() {
 void BM_QueryByDataSummaryOnly(benchmark::State& state) {
   bench::LogFixture& f = bench::GetFixture(static_cast<size_t>(state.range(0)));
   auto examples = LakeExamples();
-  metaquery::QueryByDataOptions options;  // no re-execution
+  metaquery::MetaQueryExecutor executor(&f.store);
+  metaquery::MetaQueryRequest request;
+  request.WithData(examples);  // no re-execution
   size_t hits = 0;
   for (auto _ : state) {
-    auto ids = metaquery::QueryByData(f.store, "user0", examples, options);
+    auto ids = metaquery::LogOrderIds(executor, "user0", request);
     hits = ids.size();
     benchmark::DoNotOptimize(ids);
   }
@@ -44,9 +48,12 @@ void BM_QueryByDataWithReexecution(benchmark::State& state) {
   auto examples = LakeExamples();
   metaquery::QueryByDataOptions options;
   options.reexecute_on = &f.database;
+  metaquery::MetaQueryExecutor executor(&f.store);
+  metaquery::MetaQueryRequest request;
+  request.WithData(examples, options);
   size_t hits = 0;
   for (auto _ : state) {
-    auto ids = metaquery::QueryByData(f.store, "user0", examples, options);
+    auto ids = metaquery::LogOrderIds(executor, "user0", request);
     hits = ids.size();
     benchmark::DoNotOptimize(ids);
   }
@@ -64,8 +71,11 @@ void BM_ExampleCountSweep(benchmark::State& state) {
   for (int i = 0; i < state.range(0); ++i) {
     examples.push_back({{db::Value::String(lakes[i % 6])}, i % 2 == 0});
   }
+  metaquery::MetaQueryExecutor executor(&f.store);
+  metaquery::MetaQueryRequest request;
+  request.WithData(examples);
   for (auto _ : state) {
-    auto ids = metaquery::QueryByData(f.store, "user0", examples, {});
+    auto ids = metaquery::LogOrderIds(executor, "user0", request);
     benchmark::DoNotOptimize(ids);
   }
 }

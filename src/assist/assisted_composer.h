@@ -38,6 +38,12 @@ class AssistedComposer {
   AssistResponse Assist(const std::string& viewer,
                         const std::string& partial_text) const;
 
+  /// Up to `k` recommendations for `sql_text` under the configured
+  /// RecommendOptions — the recommendation part of Assist on its own.
+  Result<std::vector<Recommendation>> Recommend(const std::string& viewer,
+                                                const std::string& sql_text,
+                                                size_t k) const;
+
  private:
   CompletionEngine completion_;
   CorrectionEngine correction_;

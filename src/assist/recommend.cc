@@ -15,11 +15,12 @@ namespace {
 /// Skeleton fingerprints of every query a user has issued — a cheap
 /// signature of their "session patterns". Sorted and deduplicated so
 /// overlap checks are a linear merge, not set lookups.
-std::vector<uint64_t> UserSkeletons(const storage::QueryStore& store,
+std::vector<uint64_t> UserSkeletons(const storage::StoreView& store,
                                     const std::string& user) {
+  const std::vector<storage::QueryId>& ids = store.QueriesByUser(user);
   std::vector<uint64_t> out;
-  out.reserve(store.QueriesByUser(user).size());
-  for (storage::QueryId id : store.QueriesByUser(user)) {
+  out.reserve(ids.size());
+  for (storage::QueryId id : ids) {
     const storage::QueryRecord* r = store.Get(id);
     if (r != nullptr && !r->parse_failed()) out.push_back(r->skeleton_fingerprint);
   }
@@ -28,10 +29,6 @@ std::vector<uint64_t> UserSkeletons(const storage::QueryStore& store,
 }
 
 }  // namespace
-
-RecommendationEngine::RecommendationEngine(const storage::QueryStore* store,
-                                           const miner::QueryMiner* miner)
-    : store_(store), miner_(miner), executor_(store) {}
 
 Result<std::vector<Recommendation>> RecommendationEngine::Recommend(
     const std::string& viewer, const std::string& sql_text, size_t k,
@@ -44,42 +41,51 @@ Result<std::vector<Recommendation>> RecommendationEngine::Recommend(
   }
 
   // Over-fetch to survive dedup/session filtering.
-  std::vector<metaquery::Neighbor> neighbors = executor_.Knn(
-      viewer, probe, k * 4 + 8, options.weights, options.ranking);
-
-  std::vector<uint64_t> viewer_skeletons;
-  std::unordered_map<std::string, std::vector<uint64_t>> author_skeletons;
-  if (options.restrict_to_similar_sessions) {
-    viewer_skeletons = UserSkeletons(*store_, viewer);
-  }
+  metaquery::MetaQueryRequest request;
+  request.SimilarTo(probe, options.weights)
+      .RankedBy(options.ranking)
+      .Limit(k * 4 + 8);
 
   std::vector<Recommendation> out;
-  std::set<uint64_t> seen_fingerprints;
-  for (const metaquery::Neighbor& n : neighbors) {
-    if (out.size() >= k) break;
-    const storage::QueryRecord* r = store_->Get(n.id);
-    if (r == nullptr || r->parse_failed()) continue;
-    if (options.deduplicate && !seen_fingerprints.insert(r->fingerprint).second) {
-      continue;
+  executor_.WithSnapshot(viewer, [&](const storage::StoreView& store,
+                                     storage::VisibilityCache* visibility) {
+    metaquery::MetaQueryResponse neighbors =
+        metaquery::MetaQueryPlanner(store).Execute(request, visibility);
+
+    std::vector<uint64_t> viewer_skeletons;
+    std::unordered_map<std::string, std::vector<uint64_t>> author_skeletons;
+    if (options.restrict_to_similar_sessions) {
+      viewer_skeletons = UserSkeletons(store, viewer);
     }
-    if (options.restrict_to_similar_sessions && r->user != viewer) {
-      // Keep only authors whose history shares a skeleton with the viewer;
-      // each author's history is collected and sorted at most once.
-      auto [it, inserted] = author_skeletons.try_emplace(r->user);
-      if (inserted) it->second = UserSkeletons(*store_, r->user);
-      if (!SortedIntersects(it->second, viewer_skeletons)) continue;
+    std::set<uint64_t> seen_fingerprints;
+    for (const metaquery::MetaQueryMatch& n : neighbors.matches) {
+      if (out.size() >= k) break;
+      const storage::QueryRecord* r = store.Get(n.id);
+      if (r == nullptr || r->parse_failed()) continue;
+      if (options.deduplicate &&
+          !seen_fingerprints.insert(r->fingerprint).second) {
+        continue;
+      }
+      if (options.restrict_to_similar_sessions && r->user != viewer) {
+        // Keep only authors whose history shares a skeleton with the
+        // viewer; each author's history is collected and sorted at most
+        // once.
+        auto [it, inserted] = author_skeletons.try_emplace(r->user);
+        if (inserted) it->second = UserSkeletons(store, r->user);
+        if (!SortedIntersects(it->second, viewer_skeletons)) continue;
+      }
+      Recommendation rec;
+      rec.id = n.id;
+      rec.score = n.score;
+      rec.similarity = n.similarity;
+      rec.text = r->text;
+      rec.diff = sql::DiffQueries(probe.components, r->components).Summary();
+      if (!r->annotations.empty()) {
+        rec.annotation = r->annotations.back().text;
+      }
+      out.push_back(std::move(rec));
     }
-    Recommendation rec;
-    rec.id = n.id;
-    rec.score = n.score;
-    rec.similarity = n.similarity;
-    rec.text = r->text;
-    rec.diff = sql::DiffQueries(probe.components, r->components).Summary();
-    if (!r->annotations.empty()) {
-      rec.annotation = r->annotations.back().text;
-    }
-    out.push_back(std::move(rec));
-  }
+  });
   return out;
 }
 

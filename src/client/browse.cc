@@ -19,7 +19,7 @@ std::string RenderLogSummary(const storage::QueryStore& store,
   std::string out = "Query log (viewed by " + viewer + ")\n";
   size_t shown = 0;
   // One ACL resolution per owner across all rendered sessions.
-  storage::VisibilityCache cache(&store, viewer);
+  storage::VisibilityCache cache(storage::StoreView(store), viewer);
   for (auto it = sessions.rbegin(); it != sessions.rend(); ++it) {
     if (shown >= max_sessions) break;
     const miner::Session& s = *it;

@@ -117,6 +117,15 @@ class Cqms {
     return composer_.Assist(viewer, partial_text);
   }
 
+  /// Up to `k` logged queries similar to `sql_text`, with diff and
+  /// annotation, under the configured AssistOptions::recommend. Reads
+  /// one snapshot, so with concurrent reads enabled it is safe from any
+  /// thread. Fails with kParseError on unparsable text.
+  Result<std::vector<assist::Recommendation>> Recommend(
+      const std::string& viewer, const std::string& sql_text, size_t k) const {
+    return composer_.Recommend(viewer, sql_text, k);
+  }
+
   /// Auto-generated tutorial for the current dataset (§2.3).
   std::string Tutorial() const;
 
@@ -172,11 +181,11 @@ class Cqms {
   // --- concurrent reads ----------------------------------------------------
 
   /// Turns on the store's epoch-published read-view pipeline
-  /// (docs/concurrency.md): from here on, Search / metaquery() calls
-  /// execute against immutable published snapshots and are safe from
-  /// any number of threads concurrently with this instance's writer
-  /// thread (Execute, maintenance, mining). Call from the writer
-  /// thread, typically right after construction or restore.
+  /// (docs/concurrency.md): from here on, Search, Recommend and
+  /// metaquery().Execute run against immutable published snapshots and
+  /// are safe from any number of threads concurrently with this
+  /// instance's writer thread (Execute, maintenance, mining). Call from
+  /// the writer thread, typically right after construction or restore.
   void EnableConcurrentReads() { store_.EnableViews(); }
 
   /// Refcounted handle on the latest published view (null until

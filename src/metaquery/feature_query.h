@@ -39,16 +39,10 @@ class FeatureQuery {
   FeatureQuery& MinResultRows(uint64_t rows);
   FeatureQuery& SucceededOnly();
 
-  /// Evaluates against the store, returning ids visible to `viewer` in
-  /// log order. Table/attribute conditions drive index lookups; the rest
-  /// filter.
-  std::vector<storage::QueryId> Evaluate(const storage::QueryStore& store,
-                                         const std::string& viewer) const;
-
   /// Exact per-record check of every condition except visibility —
   /// verified against the record's *current* features, never the index
-  /// (the meta-query planner and Evaluate share this filter). True for a
-  /// record this query accepts.
+  /// (the meta-query planner's per-candidate filter). True for a record
+  /// this query accepts.
   bool MatchesRecord(const storage::QueryRecord& record) const;
 
   struct PredicateCondition {

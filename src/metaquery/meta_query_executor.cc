@@ -2,27 +2,28 @@
 
 #include <algorithm>
 
-#include "storage/record_builder.h"
-
 namespace cqms::metaquery {
+
+void MetaQueryExecutor::WithSnapshot(const std::string& viewer,
+                                     const SnapshotFn& fn) const {
+  if (store_->views_enabled()) {
+    // The pin holds the view for the whole call; the view pools
+    // visibility caches per (viewer, thread).
+    storage::PinnedView view = store_->PinView();
+    fn(storage::StoreView(*view), &view->CacheFor(viewer));
+    return;
+  }
+  fn(storage::StoreView(*store_), &store_->CacheFor(viewer));
+}
 
 MetaQueryResponse MetaQueryExecutor::Execute(
     const std::string& viewer, const MetaQueryRequest& request) const {
-  if (store_->views_enabled()) {
-    // Concurrent path: pin the current published view for the whole
-    // execution — planner, scoring and visibility all read the same
-    // immutable snapshot, untouched by whatever the writer does
-    // meanwhile. The view pools visibility caches per (viewer, thread),
-    // so repeated queries from one serving thread stay memoized.
-    storage::PinnedView view = store_->PinView();
-    MetaQueryPlanner planner{storage::StoreView(*view)};
-    return planner.Execute(request, &view->CacheFor(viewer));
-  }
-  // Live path (views never enabled): identical to the single-threaded
-  // original. The store pools visibility caches per (viewer, thread),
-  // so repeated queries keep their memoized ACL decisions warm.
-  MetaQueryPlanner planner(store_);
-  return planner.Execute(request, &store_->CacheFor(viewer));
+  MetaQueryResponse response;
+  WithSnapshot(viewer, [&](const storage::StoreView& view,
+                           storage::VisibilityCache* visibility) {
+    response = MetaQueryPlanner(view).Execute(request, visibility);
+  });
+  return response;
 }
 
 Result<db::QueryResult> MetaQueryExecutor::Sql(const std::string& viewer,
@@ -47,17 +48,6 @@ Result<db::QueryResult> MetaQueryExecutor::Sql(const std::string& viewer,
     result.rows = std::move(kept);
   }
   return result;
-}
-
-Result<std::vector<Neighbor>> MetaQueryExecutor::KnnText(
-    const std::string& viewer, const std::string& sql_text, size_t k,
-    const SimilarityWeights& weights, const RankingOptions& ranking) const {
-  storage::QueryRecord probe = storage::BuildRecordFromText(
-      sql_text, viewer, 0, storage::SignatureMode::kTransient);
-  if (probe.parse_failed()) {
-    return Status::ParseError("probe query does not parse: " + probe.stats.error);
-  }
-  return Knn(viewer, probe, k, weights, ranking);
 }
 
 }  // namespace cqms::metaquery

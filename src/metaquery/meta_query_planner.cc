@@ -59,16 +59,6 @@ obs::Counter* VisibilityMissesCounter() {
 }  // namespace
 
 MetaQueryResponse MetaQueryPlanner::Execute(
-    const std::string& viewer, const MetaQueryRequest& request) const {
-  // Route through the backing object's (viewer, thread) cache pool so
-  // repeated queries keep their memoized ACL decisions warm.
-  if (view_.view() != nullptr) {
-    return Execute(request, &view_.view()->CacheFor(viewer));
-  }
-  return Execute(request, &view_.live_store()->CacheFor(viewer));
-}
-
-MetaQueryResponse MetaQueryPlanner::Execute(
     const MetaQueryRequest& request,
     storage::VisibilityCache* visibility) const {
   MetaQueryResponse resp;
@@ -95,7 +85,7 @@ MetaQueryResponse MetaQueryPlanner::Execute(
   std::vector<Symbol> keyword_syms;
   if (request.keyword.has_value()) {
     std::vector<std::string> words = ExtractWords(request.keyword->words);
-    if (words.empty()) return resp;  // KeywordSearch semantics: no match.
+    if (words.empty()) return resp;  // No extractable word: no match.
     for (const std::string& w : words) {
       Symbol s = GlobalInterner().Find(w);
       if (s == kInvalidSymbol) {
@@ -106,7 +96,7 @@ MetaQueryResponse MetaQueryPlanner::Execute(
     }
     if (keyword_syms.empty()) return resp;  // match-any, all unknown.
   }
-  // An empty substring needle matches nothing (SubstringSearch semantics).
+  // An empty substring needle matches nothing.
   if (request.substring.has_value() && request.substring->empty()) return resp;
 
   // --- gather every posting list the predicates are backed by ----------
@@ -221,7 +211,7 @@ MetaQueryResponse MetaQueryPlanner::Execute(
       request.substring.has_value() ? ToLower(*request.substring) : std::string();
 
   // Loop-invariant ranking normalizers, hoisted (identical arithmetic to
-  // the kNN reference path).
+  // the kNN reference the tests compare against).
   const Micros max_ts = std::max<Micros>(1, store.max_timestamp());
   const double inv_log_size =
       1.0 / std::log1p(static_cast<double>(store.size()) + 1.0);

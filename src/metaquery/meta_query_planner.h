@@ -19,10 +19,9 @@ namespace cqms::metaquery {
 ///      intersected smallest-first — the smallest list bounds the
 ///      candidate count, and intersections keep conjunction semantics
 ///      exact. An empty required list short-circuits to zero results.
-///   2. Otherwise, a similarity probe generates candidates exactly like
-///      legacy kNN (shared KnnCandidateIds): LSH band buckets on large
-///      logs (approximate by contract), else the probe's table-posting
-///      union. The LSH generator is deliberately *not* used when posting
+///   2. Otherwise, a similarity probe generates candidates through
+///      KnnCandidateIds: LSH band buckets on large logs (approximate by
+///      contract), else the probe's table-posting union. The LSH generator is deliberately *not* used when posting
 ///      lists exist: it can miss true conjunction matches, and an exact
 ///      generator of bounded size is already available.
 ///   3. Full scan only as last resort (substring / data / structure
@@ -36,15 +35,9 @@ namespace cqms::metaquery {
 /// candidate through the caller's VisibilityCache.
 class MetaQueryPlanner {
  public:
-  /// Plans against the live store (single-threaded path). `store` must
-  /// outlive the planner.
-  explicit MetaQueryPlanner(const storage::QueryStore* store)
-      : view_(*store) {}
-
   /// Plans against a read facade — the live store or a pinned published
-  /// view (concurrent path). Whatever backs the facade must outlive the
-  /// planner; on the view path that means the caller holds the
-  /// PinnedView for the planner's whole execution.
+  /// view; MetaQueryExecutor::WithSnapshot chooses which. Whatever backs
+  /// the facade must outlive the planner.
   explicit MetaQueryPlanner(storage::StoreView view) : view_(view) {}
 
   /// Runs `request` for `visibility`'s viewer. The cache must be backed
@@ -53,10 +46,6 @@ class MetaQueryPlanner {
   /// mutation).
   MetaQueryResponse Execute(const MetaQueryRequest& request,
                             storage::VisibilityCache* visibility) const;
-
-  /// Convenience overload with a call-local visibility cache.
-  MetaQueryResponse Execute(const std::string& viewer,
-                            const MetaQueryRequest& request) const;
 
  private:
   storage::StoreView view_;

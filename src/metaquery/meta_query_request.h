@@ -16,15 +16,15 @@
 namespace cqms::metaquery {
 
 /// Keyword-search predicate: every (or any) extracted word must appear in
-/// the logged query's text tokens. Matches KeywordSearch semantics: a
-/// request whose `words` yields no extractable tokens matches nothing.
+/// the logged query's text tokens. A request whose `words` yields no
+/// extractable tokens matches nothing.
 struct KeywordPredicate {
   std::string words;
   bool match_all = true;
 };
 
-/// Query-by-data predicate (see QueryByData): the logged query's output
-/// must satisfy every labeled example.
+/// Query-by-data predicate (see RecordSatisfiesDataExamples): the logged
+/// query's output must satisfy every labeled example.
 struct DataPredicate {
   std::vector<DataExample> examples;
   QueryByDataOptions options;
@@ -47,8 +47,8 @@ enum class ResultOrder {
   /// Ranked by the composite score (similarity, popularity, quality,
   /// recency — see RankingOptions), ties broken by ascending id.
   kScore,
-  /// Ascending query id (log order), no scoring — what the class 1-3
-  /// legacy entry points return.
+  /// Ascending query id (log order), no scoring — the usual order for
+  /// class 1-3 meta-queries.
   kLogOrder,
 };
 
@@ -56,8 +56,8 @@ enum class ResultOrder {
 /// plus one ranking policy — the paper's §2.3 ask ("ranking functions
 /// that combine similarity measures with other desired properties") as
 /// an API. Every predicate is optional; an empty request matches every
-/// visible query. The legacy MetaQueryExecutor entry points are now
-/// one-predicate instances of this type.
+/// visible query. A single meta-query class is a one-predicate instance
+/// of this type.
 ///
 /// Example — "queries touching `lineage` with skeleton X, similar to
 /// this probe, ranked by popularity":
@@ -73,7 +73,7 @@ enum class ResultOrder {
 struct MetaQueryRequest {
   std::optional<KeywordPredicate> keyword;
   /// Case-insensitive substring of the raw query text. An empty needle
-  /// matches nothing (legacy SubstringSearch semantics).
+  /// matches nothing.
   std::optional<std::string> substring;
   std::optional<FeatureQuery> feature;
   std::optional<StructuralPattern> structure;

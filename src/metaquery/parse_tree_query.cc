@@ -53,31 +53,4 @@ bool MatchesPattern(const storage::QueryRecord& record,
   return true;
 }
 
-std::vector<storage::QueryId> StructuralSearch(const storage::QueryStore& store,
-                                               const std::string& viewer,
-                                               const StructuralPattern& pattern) {
-  std::vector<storage::QueryId> out;
-  if (!pattern.required_tables.empty()) {
-    // Prune candidates by the rarest required table.
-    const std::vector<storage::QueryId>* smallest = nullptr;
-    for (const std::string& t : pattern.required_tables) {
-      const auto& ids = store.QueriesUsingTable(t);
-      if (smallest == nullptr || ids.size() < smallest->size()) smallest = &ids;
-    }
-    for (storage::QueryId id : *smallest) {
-      const storage::QueryRecord* r = store.Get(id);
-      if (r != nullptr && store.Visible(viewer, id) && MatchesPattern(*r, pattern)) {
-        out.push_back(id);
-      }
-    }
-    return out;
-  }
-  for (const storage::QueryRecord& r : store.records()) {
-    if (store.Visible(viewer, r.id) && MatchesPattern(r, pattern)) {
-      out.push_back(r.id);
-    }
-  }
-  return out;
-}
-
 }  // namespace cqms::metaquery

@@ -363,17 +363,6 @@ Clustering KMedoidsCluster(const storage::QueryStore& store,
   return KMedoidsFromDistances(dist, ids, options);
 }
 
-Clustering KMedoidsCluster(const storage::QueryStore& store,
-                           const std::vector<storage::QueryId>& ids,
-                           const KMedoidsOptions& options, DistanceCache* cache,
-                           CachedDistanceMatrix::BuildStats* stats) {
-  if (cache == nullptr) return KMedoidsCluster(store, ids, options);
-  CachedDistanceMatrix dist(store, ids, options.weights,
-                            options.sketch_prune_min_points, cache);
-  if (stats != nullptr) *stats = dist.build_stats();
-  return KMedoidsFromDistances(dist, ids, options);
-}
-
 Clustering AgglomerativeFromDistances(const DistanceSource& dist,
                                       const std::vector<storage::QueryId>& ids,
                                       double max_distance) {
@@ -430,21 +419,6 @@ Clustering AgglomerativeCluster(const storage::QueryStore& store,
                                 const metaquery::SimilarityWeights& weights,
                                 size_t sketch_prune_min_points) {
   DenseDistanceMatrix dist(store, ids, weights, sketch_prune_min_points);
-  return AgglomerativeFromDistances(dist, ids, max_distance);
-}
-
-Clustering AgglomerativeCluster(const storage::QueryStore& store,
-                                const std::vector<storage::QueryId>& ids,
-                                double max_distance,
-                                const metaquery::SimilarityWeights& weights,
-                                size_t sketch_prune_min_points,
-                                DistanceCache* cache) {
-  if (cache == nullptr) {
-    return AgglomerativeCluster(store, ids, max_distance, weights,
-                                sketch_prune_min_points);
-  }
-  CachedDistanceMatrix dist(store, ids, weights, sketch_prune_min_points,
-                            cache);
   return AgglomerativeFromDistances(dist, ids, max_distance);
 }
 

@@ -164,13 +164,6 @@ Clustering KMedoidsCluster(const storage::QueryStore& store,
                            const std::vector<storage::QueryId>& ids,
                            const KMedoidsOptions& options = {});
 
-/// Cache-backed wrapper: distances come from (and warm) `cache`; null
-/// falls back to the dense oracle.
-Clustering KMedoidsCluster(const storage::QueryStore& store,
-                           const std::vector<storage::QueryId>& ids,
-                           const KMedoidsOptions& options, DistanceCache* cache,
-                           CachedDistanceMatrix::BuildStats* stats = nullptr);
-
 /// Single-linkage agglomerative clustering over the given distances:
 /// merges clusters while the closest pair is within `max_distance`. No
 /// k needed; used when the number of query groups is unknown.
@@ -185,14 +178,6 @@ Clustering AgglomerativeCluster(const storage::QueryStore& store,
                                 double max_distance,
                                 const metaquery::SimilarityWeights& weights = {},
                                 size_t sketch_prune_min_points = 512);
-
-/// Cache-backed wrapper; null cache falls back to the dense oracle.
-Clustering AgglomerativeCluster(const storage::QueryStore& store,
-                                const std::vector<storage::QueryId>& ids,
-                                double max_distance,
-                                const metaquery::SimilarityWeights& weights,
-                                size_t sketch_prune_min_points,
-                                DistanceCache* cache);
 
 }  // namespace cqms::miner
 

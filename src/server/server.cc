@@ -10,7 +10,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cctype>
 #include <chrono>
 
@@ -22,7 +21,6 @@
 #include "obs/trace.h"
 #include "repl/follower.h"
 #include "repl/wal_shipper.h"
-#include "sql/diff.h"
 #include "storage/record_builder.h"
 
 namespace cqms::server {
@@ -1005,43 +1003,13 @@ std::string CqmsServer::HandleRecommend(const Task& task) {
     return fail(Status::InvalidArgument("malformed Recommend body"));
   }
 
-  // The in-process RecommendationEngine reads live records; here every
-  // record fetch goes through a pinned view instead so recommendations
-  // never race the writer (same over-fetch + fingerprint-dedup policy).
-  storage::QueryRecord probe = storage::BuildRecordFromText(
-      req.sql_text, req.viewer, 0, storage::SignatureMode::kTransient);
-  if (probe.parse_failed()) {
-    return fail(Status::ParseError("cannot recommend for unparsable text: " +
-                                   probe.stats.error));
-  }
-  std::shared_ptr<Cqms> cqms = current_cqms();
-  std::shared_ptr<const storage::ReadViewState> view = cqms->CurrentReadView();
-  if (view == nullptr) return fail(Status::Internal("read views not enabled"));
-
-  metaquery::MetaQueryRequest mreq;
-  mreq.SimilarTo(probe);
-  mreq.Limit(req.k * 4 + 8);
-  metaquery::MetaQueryResponse mresp = cqms->Search(req.viewer, mreq);
-
+  auto recs = current_cqms()->Recommend(req.viewer, req.sql_text, req.k);
+  if (!recs.ok()) return fail(recs.status());
   net::RecommendResult out;
-  std::vector<uint64_t> seen_fingerprints;
-  for (const metaquery::MetaQueryMatch& m : mresp.matches) {
-    if (out.items.size() >= req.k) break;
-    const storage::QueryRecord* rec = view->Get(m.id);
-    if (rec == nullptr || rec->parse_failed()) continue;
-    if (std::find(seen_fingerprints.begin(), seen_fingerprints.end(),
-                  rec->fingerprint) != seen_fingerprints.end()) {
-      continue;
-    }
-    seen_fingerprints.push_back(rec->fingerprint);
-    net::RecommendationItem item;
-    item.id = m.id;
-    item.score = m.score;
-    item.similarity = m.similarity;
-    item.text = rec->text;
-    item.diff = sql::DiffQueries(probe.components, rec->components).Summary();
-    if (!rec->annotations.empty()) item.annotation = rec->annotations.back().text;
-    out.items.push_back(std::move(item));
+  out.items.reserve(recs->size());
+  for (assist::Recommendation& rec : *recs) {
+    out.items.push_back({rec.id, rec.score, rec.similarity, std::move(rec.text),
+                         std::move(rec.diff), std::move(rec.annotation)});
   }
 
   BinaryWriter w;

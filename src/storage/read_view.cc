@@ -120,9 +120,6 @@ VisibilityCache& ReadViewState::CacheFor(const std::string& viewer) const {
   return *slot;
 }
 
-VisibilityCache::VisibilityCache(const QueryStore* store, std::string viewer)
-    : view_(*store), viewer_(std::move(viewer)) {}
-
 bool VisibilityCache::AclVisible(QueryId id) const {
   // Invalidate-on-mutation: group memberships or per-query visibility
   // may have changed since the entries were memoized. (Frozen views

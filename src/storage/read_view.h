@@ -124,12 +124,6 @@ class StoreView {
   size_t size() const;
   Micros max_timestamp() const;
 
-  /// The live store behind this facade, or null when it wraps a view.
-  const QueryStore* live_store() const { return store_; }
-  /// The frozen view behind this facade, or null when it wraps the
-  /// live store.
-  const ReadViewState* view() const { return view_; }
-
  private:
   const QueryStore* store_ = nullptr;
   const ReadViewState* view_ = nullptr;
@@ -283,10 +277,6 @@ class VisibilityCache {
  public:
   VisibilityCache(StoreView view, std::string viewer)
       : view_(view), viewer_(std::move(viewer)) {}
-
-  /// Compatibility constructor over the live store; defined in
-  /// read_view.cc (needs the complete QueryStore).
-  VisibilityCache(const QueryStore* store, std::string viewer);
 
   /// True when the viewer may see `record` (not deleted, ACL passes).
   bool Visible(const QueryRecord& record) const {

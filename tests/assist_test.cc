@@ -176,7 +176,7 @@ TEST_F(AssistFixture, PredicateRelaxationForEmptyResults) {
 }
 
 TEST_F(AssistFixture, RecommendationsRankSimilarLoggedQueries) {
-  RecommendationEngine engine(&h_->store, miner_.get());
+  RecommendationEngine engine(&h_->store);
   auto recs = engine.Recommend(
       "alice",
       "SELECT T.temp FROM WaterSalinity S, WaterTemp T WHERE S.loc_x = T.loc_x",
@@ -191,7 +191,7 @@ TEST_F(AssistFixture, RecommendationsRankSimilarLoggedQueries) {
 }
 
 TEST_F(AssistFixture, RecommendationsDeduplicateByFingerprint) {
-  RecommendationEngine engine(&h_->store, miner_.get());
+  RecommendationEngine engine(&h_->store);
   // Log the same query many times.
   for (int i = 0; i < 5; ++i) h_->Log("alice", "SELECT lake FROM WaterTemp");
   auto recs = engine.Recommend("alice", "SELECT lake FROM WaterTemp", 10);
@@ -207,7 +207,7 @@ TEST_F(AssistFixture, RecommendationCarriesAnnotation) {
   QueryId id = h_->Log("alice", "SELECT lake, temp FROM WaterTemp WHERE temp < 14");
   ASSERT_TRUE(
       h_->store.Annotate(id, {"alice", 0, "cold-water probe", ""}).ok());
-  RecommendationEngine engine(&h_->store, miner_.get());
+  RecommendationEngine engine(&h_->store);
   auto recs =
       engine.Recommend("alice", "SELECT lake, temp FROM WaterTemp WHERE temp < 13", 1);
   ASSERT_TRUE(recs.ok());
@@ -222,7 +222,7 @@ TEST_F(AssistFixture, SessionPatternRestrictionFiltersStrangers) {
 
   RecommendOptions opts;
   opts.restrict_to_similar_sessions = true;
-  RecommendationEngine engine(&h_->store, miner_.get());
+  RecommendationEngine engine(&h_->store);
   auto recs = engine.Recommend("alice", "SELECT sensor_id FROM Sensors", 5, opts);
   ASSERT_TRUE(recs.ok());
   for (const auto& r : *recs) {
@@ -231,7 +231,7 @@ TEST_F(AssistFixture, SessionPatternRestrictionFiltersStrangers) {
 }
 
 TEST_F(AssistFixture, RecommendationRequiresParsableProbe) {
-  RecommendationEngine engine(&h_->store, miner_.get());
+  RecommendationEngine engine(&h_->store);
   EXPECT_FALSE(engine.Recommend("alice", "SELEKT", 3).ok());
 }
 

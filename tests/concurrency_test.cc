@@ -1,9 +1,10 @@
 // Concurrency suite: the epoch/read-view publication pipeline
 // (docs/concurrency.md) plus the single-thread bugs that blocked it —
 // wall-anchored SystemClock, const-correct LSH probing, set-once Ast()
-// materialization. The stress test at the bottom runs 8 readers against
-// 1 writer and checks every sampled view against a serial replay
-// oracle; CI runs this binary under -fsanitize=thread.
+// materialization. The stress test runs 8 readers against 1 writer and
+// checks every sampled view against a serial replay oracle; the last test
+// runs Cqms::Recommend readers against a writer that appends, rewrites
+// and annotates. CI runs this binary under -fsanitize=thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "core/cqms.h"
 #include "metaquery/meta_query_executor.h"
 #include "metaquery/meta_query_planner.h"
 #include "metaquery/meta_query_request.h"
@@ -458,9 +460,9 @@ TEST(ConcurrencyStressTest, ReadersSeeConsistentPrefixes) {
     ASSERT_EQ(replay.mutation_count(), m);
     EXPECT_EQ(observed.view_size, size_after[steps]) << "at mutation " << m;
 
-    metaquery::MetaQueryPlanner planner(&replay);
+    metaquery::MetaQueryExecutor executor(&replay);
     metaquery::MetaQueryResponse knn =
-        planner.Execute("u0", make_knn_request());
+        executor.Execute("u0", make_knn_request());
     ASSERT_EQ(observed.knn.size(), knn.matches.size())
         << "kNN diverged from serial oracle at mutation " << m;
     for (size_t i = 0; i < knn.matches.size(); ++i) {
@@ -470,7 +472,7 @@ TEST(ConcurrencyStressTest, ReadersSeeConsistentPrefixes) {
           << "at mutation " << m << " rank " << i;
     }
     EXPECT_EQ(observed.keyword_ids,
-              planner.Execute("u0", make_keyword_request()).Ids())
+              executor.Execute("u0", make_keyword_request()).Ids())
         << "keyword search diverged at mutation " << m;
   }
 }
@@ -500,6 +502,91 @@ TEST(ReadViewTest, AclChangesPublishLikeMutations) {
   PinnedView after = store.PinView();
   VisibilityCache cache{StoreView(*after), "stranger"};
   EXPECT_TRUE(cache.VisibleId(id));
+}
+
+// Recommend off the writer thread: the engine runs its kNN request and
+// every record read (text, diff, annotation) on one pinned view, so
+// readers never touch the live record log while the writer appends,
+// rewrites and annotates. Under TSan this is the race check; the
+// invariants below catch a mixed snapshot (a hit the view cannot read).
+TEST(ConcurrentRecommendTest, ReadersRaceAppendRewriteAnnotate) {
+  constexpr int kReaders = 3;
+  constexpr size_t kWrites = 120;
+  constexpr size_t kK = 5;
+  Cqms cqms;
+  for (int u = 0; u < 4; ++u) {
+    cqms.RegisterUser("u" + std::to_string(u), {"lab"});
+  }
+  const char* tables[] = {"sensors", "plants", "sites"};
+  for (size_t i = 0; i < 30; ++i) {
+    cqms.profiler().LogOnly("SELECT a, b FROM " + std::string(tables[i % 3]) +
+                                " WHERE a > " + std::to_string(i),
+                            "u" + std::to_string(i % 4));
+  }
+  cqms.EnableConcurrentReads();
+  const std::string probe = "SELECT a FROM sensors WHERE a > 3";
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<size_t> answered{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t]() {
+      const std::string viewer = "u" + std::to_string(t % 4);
+      int iterations = 0;
+      while (!writer_done.load(std::memory_order_acquire) || iterations < 20) {
+        ++iterations;
+        auto recs = cqms.Recommend(viewer, probe, kK);
+        ASSERT_TRUE(recs.ok()) << recs.status();
+        ASSERT_FALSE(recs->empty());
+        ASSERT_LE(recs->size(), kK);
+        for (size_t i = 0; i < recs->size(); ++i) {
+          const assist::Recommendation& rec = (*recs)[i];
+          EXPECT_FALSE(rec.text.empty());
+          EXPECT_FALSE(rec.diff.empty());
+          EXPECT_GE(rec.similarity, 0.05);
+          if (i > 0) {
+            EXPECT_GE((*recs)[i - 1].score, rec.score);
+          }
+        }
+        answered.fetch_add(1, std::memory_order_relaxed);
+        if (iterations > 2000) break;  // safety bound
+      }
+    });
+  }
+
+  std::thread writer([&]() {
+    for (size_t i = 0; i < kWrites; ++i) {
+      const std::string user = "u" + std::to_string(i % 4);
+      QueryId id = cqms.profiler().LogOnly(
+          "SELECT a FROM " + std::string(tables[i % 3]) + " WHERE a > " +
+              std::to_string(i),
+          user);
+      if (i % 3 == 1) {
+        const std::string rewritten =
+            "SELECT b FROM sensors WHERE b < " + std::to_string(i);
+        EXPECT_TRUE(cqms.store()->RewriteQueryText(id, rewritten).ok());
+      }
+      if (i % 3 == 2) {
+        EXPECT_TRUE(cqms.Annotate(id, user, "note " + std::to_string(i)).ok());
+      }
+      if (i % 8 == 0) std::this_thread::yield();
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+
+  writer.join();
+  for (std::thread& r : readers) r.join();
+  EXPECT_GE(answered.load(), static_cast<size_t>(kReaders) * 20);
+
+  // Quiescent: the concurrent path agrees with a fresh in-process call.
+  auto first = cqms.Recommend("u0", probe, kK);
+  auto second = cqms.Recommend("u0", probe, kK);
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_EQ(first->size(), second->size());
+  for (size_t i = 0; i < first->size(); ++i) {
+    EXPECT_EQ((*first)[i].id, (*second)[i].id);
+    EXPECT_EQ((*first)[i].text, cqms.store()->Get((*first)[i].id)->text);
+  }
 }
 
 }  // namespace

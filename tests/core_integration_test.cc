@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cqms.h"
+#include "metaquery_oracles.h"
 #include "workload/synthetic.h"
 
 namespace cqms {
@@ -70,7 +71,9 @@ TEST_F(CqmsIntegrationTest, SearchAndBrowseMode) {
   system_->RunMining();
 
   // Keyword search.
-  auto ids = system_->metaquery().Keyword("bob", "salinity");
+  metaquery::MetaQueryRequest keyword;
+  keyword.WithKeywords("salinity");
+  auto ids = metaquery::LogOrderIds(system_->metaquery(), "bob", keyword);
   EXPECT_EQ(ids.size(), 1u);  // bob shares alice's group
 
   // SQL meta-query over the feature relations.
@@ -160,7 +163,11 @@ TEST_F(CqmsIntegrationTest, MaintenanceLifecycleAfterSchemaChange) {
   // The repaired query is findable under the new table name.
   metaquery::FeatureQuery q;
   q.UsesTable("LakeTemp");
-  EXPECT_EQ(system_->metaquery().ByFeature("alice", q).size(), 1u);
+  metaquery::MetaQueryRequest by_feature;
+  by_feature.WithFeature(q);
+  EXPECT_EQ(
+      metaquery::LogOrderIds(system_->metaquery(), "alice", by_feature).size(),
+      1u);
   // And it still executes through the traditional path.
   EXPECT_TRUE(system_->database()->Execute(*rec->ast).ok());
 }

@@ -298,14 +298,12 @@ TEST(SnapshotV2Test, PlannerResultsByteIdenticalAfterRestore) {
                          after.Execute(viewer, req), "combined");
   }
 
-  // Raw kNN entry point too (legacy API surface).
-  auto n_before = metaquery::KnnSearch(store, "user0", probe, 10);
-  auto n_after = metaquery::KnnSearch(loaded, "user0", probe, 10);
-  ASSERT_EQ(n_before.size(), n_after.size());
-  for (size_t i = 0; i < n_before.size(); ++i) {
-    EXPECT_EQ(n_before[i].id, n_after[i].id);
-    EXPECT_EQ(n_before[i].similarity, n_after[i].similarity);
-    EXPECT_EQ(n_before[i].score, n_after[i].score);
+  {
+    // kNN with default candidate options.
+    metaquery::MetaQueryRequest req;
+    req.SimilarTo(probe).Limit(10);
+    ExpectResponsesEqual(before.Execute("user0", req),
+                         after.Execute("user0", req), "knn default");
   }
 }
 

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "maintain/query_maintenance.h"
 #include "metaquery/knn.h"
+#include "metaquery_oracles.h"
 #include "metaquery/similarity.h"
 #include "miner/clustering.h"
 #include "storage/lsh_index.h"
@@ -270,9 +271,9 @@ TEST(LshKnnRecallTest, RecallAtLeast095On5kLog) {
     ASSERT_FALSE(probe.parse_failed()) << sql;
     // The default path must actually take the LSH branch on this log.
     ASSERT_GE(h.store.size(), CandidateOptions{}.lsh_min_log_size);
-    std::vector<Neighbor> lsh = KnnSearch(h.store, "user0", probe, k);
+    std::vector<Neighbor> lsh = Knn(MetaQueryExecutor(&h.store), "user0", probe, k);
     std::vector<Neighbor> reference =
-        KnnSearch(h.store, "user0", probe, k, {}, {}, exhaustive);
+        Knn(MetaQueryExecutor(&h.store), "user0", probe, k, {}, {}, exhaustive);
     ASSERT_EQ(reference.size(), k) << sql;
 
     std::set<QueryId> reference_ids;
@@ -312,9 +313,9 @@ TEST(LshKnnRecallTest, FallbackBelowThresholdIsExactlyBruteForce) {
     QueryRecord probe = storage::BuildRecordFromText(
         sql, "user0", 0, storage::SignatureMode::kTransient);
     ASSERT_FALSE(probe.parse_failed()) << sql;
-    std::vector<Neighbor> defaulted = KnnSearch(h.store, "user0", probe, 10);
+    std::vector<Neighbor> defaulted = Knn(MetaQueryExecutor(&h.store), "user0", probe, 10);
     std::vector<Neighbor> reference =
-        KnnSearch(h.store, "user0", probe, 10, {}, {}, exhaustive);
+        Knn(MetaQueryExecutor(&h.store), "user0", probe, 10, {}, {}, exhaustive);
     ASSERT_EQ(defaulted.size(), reference.size()) << sql;
     for (size_t i = 0; i < defaulted.size(); ++i) {
       EXPECT_EQ(defaulted[i].id, reference[i].id) << sql << " i=" << i;
@@ -335,7 +336,7 @@ TEST(LshKnnRecallTest, DeletedRecordsStayInvisibleThroughLsh) {
   CandidateOptions force_lsh;
   force_lsh.lsh_min_log_size = 0;
   std::vector<Neighbor> result =
-      KnnSearch(h.store, "user0", probe, 10, {}, {}, force_lsh);
+      Knn(MetaQueryExecutor(&h.store), "user0", probe, 10, {}, {}, force_lsh);
   ASSERT_FALSE(result.empty());
   for (const Neighbor& n : result) EXPECT_NE(n.id, id);
 }

@@ -1,12 +1,12 @@
 // Unified MetaQuery planner tests: (1) an equality suite asserting that
-// every legacy single-predicate entry point returns exactly the same
-// results through the planner pipeline as the pre-planner reference
-// implementations on a seeded ~5k synthetic log, (2) combined-predicate
-// requests checked against a brute-force filter-then-rank reference,
-// (3) planner generator selection, (4) the executor-owned persistent
-// VisibilityCache re-checking after ACL mutations, and (5) scoring-column
-// coherence across every record mutation path (flags, quality, delete,
-// rewrite, stats refresh).
+// every meta-query class, sent as a one-predicate request through
+// MetaQueryExecutor::Execute, returns exactly the same results as the
+// pre-planner reference implementations (metaquery_oracles.h) on a
+// seeded ~5k synthetic log, (2) combined-predicate requests checked
+// against a brute-force filter-then-rank reference, (3) planner generator
+// selection, (4) the persistent VisibilityCache re-checking after ACL
+// mutations, and (5) scoring-column coherence across every record
+// mutation path (flags, quality, delete, rewrite, stats refresh).
 
 #include <algorithm>
 #include <cmath>
@@ -17,7 +17,7 @@
 
 #include "common/string_util.h"
 #include "metaquery/meta_query_executor.h"
-#include "metaquery/meta_query_planner.h"
+#include "metaquery_oracles.h"
 #include "storage/record_builder.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
@@ -69,7 +69,7 @@ void ExpectNeighborsEqual(const std::vector<Neighbor>& got,
   }
 }
 
-// --- equality suite: every legacy entry point through the planner --------
+// --- equality suite: every class through Execute vs its oracle ----------
 
 TEST(PlannerEqualityTest, KeywordMatchesLegacyOn5kLog) {
   Harness& h = BigLog();
@@ -80,7 +80,9 @@ TEST(PlannerEqualityTest, KeywordMatchesLegacyOn5kLog) {
   for (const char* viewer : kViewers) {
     for (const char* words : word_sets) {
       for (bool match_all : {true, false}) {
-        EXPECT_EQ(executor.Keyword(viewer, words, match_all),
+        MetaQueryRequest request;
+        request.WithKeywords(words, match_all);
+        EXPECT_EQ(LogOrderIds(executor, viewer, request),
                   KeywordSearch(h.store, viewer, words, match_all))
             << viewer << " / " << words << " match_all=" << match_all;
       }
@@ -106,7 +108,9 @@ TEST(PlannerEqualityTest, SubstringMatchesBruteForceOn5kLog) {
           }
         }
       }
-      EXPECT_EQ(executor.Substring(viewer, needle), brute)
+      MetaQueryRequest request;
+      request.WithSubstring(needle);
+      EXPECT_EQ(LogOrderIds(executor, viewer, request), brute)
           << viewer << " / '" << needle << "'";
       EXPECT_EQ(SubstringSearch(h.store, viewer, needle), brute)
           << viewer << " / '" << needle << "'";
@@ -126,8 +130,10 @@ TEST(PlannerEqualityTest, FeatureQueryMatchesLegacyOn5kLog) {
   queries.emplace_back().UsesTable("NoSuchTable");
   for (const char* viewer : kViewers) {
     for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(executor.ByFeature(viewer, queries[i]),
-                queries[i].Evaluate(h.store, viewer))
+      MetaQueryRequest request;
+      request.WithFeature(queries[i]);
+      EXPECT_EQ(LogOrderIds(executor, viewer, request),
+                FeatureSearch(h.store, viewer, queries[i]))
           << viewer << " / feature query " << i;
     }
   }
@@ -146,7 +152,9 @@ TEST(PlannerEqualityTest, StructuralMatchesLegacyOn5kLog) {
   patterns[3].max_joins = 3;
   for (const char* viewer : kViewers) {
     for (size_t i = 0; i < patterns.size(); ++i) {
-      EXPECT_EQ(executor.ByStructure(viewer, patterns[i]),
+      MetaQueryRequest request;
+      request.WithStructure(patterns[i]);
+      EXPECT_EQ(LogOrderIds(executor, viewer, request),
                 StructuralSearch(h.store, viewer, patterns[i]))
           << viewer << " / pattern " << i;
     }
@@ -161,7 +169,9 @@ TEST(PlannerEqualityTest, QueryByDataMatchesLegacyOn5kLog) {
   examples.push_back({{db::Value::String("Union")}, false});
   QueryByDataOptions options;  // summaries only; no re-execution
   for (const char* viewer : kViewers) {
-    EXPECT_EQ(executor.ByData(viewer, examples, options),
+    MetaQueryRequest request;
+    request.WithData(examples, options);
+    EXPECT_EQ(LogOrderIds(executor, viewer, request),
               QueryByData(h.store, viewer, examples, options))
         << viewer;
   }
@@ -178,14 +188,9 @@ TEST(PlannerEqualityTest, KnnMatchesReferenceOn5kLog) {
       for (size_t k : {1u, 10u, 50u}) {
         std::string label = std::string(viewer) + " / k=" +
                             std::to_string(k) + " / " + text;
-        // Through the executor (persistent cache)...
-        ExpectNeighborsEqual(executor.Knn(viewer, probe, k),
+        ExpectNeighborsEqual(Knn(executor, viewer, probe, k),
                              KnnSearchReference(h.store, viewer, probe, k),
-                             label + " (executor)");
-        // ...and through the free function (call-local cache).
-        ExpectNeighborsEqual(KnnSearch(h.store, viewer, probe, k),
-                             KnnSearchReference(h.store, viewer, probe, k),
-                             label + " (free fn)");
+                             label);
       }
     }
   }
@@ -193,12 +198,13 @@ TEST(PlannerEqualityTest, KnnMatchesReferenceOn5kLog) {
 
 TEST(PlannerEqualityTest, KnnExhaustivePathMatchesReference) {
   Harness& h = BigLog();
+  MetaQueryExecutor executor(&h.store);
   CandidateOptions exhaustive;
   exhaustive.use_lsh = false;
   QueryRecord probe = storage::BuildRecordFromText(
       kProbes[0], "user0", 0, storage::SignatureMode::kTransient);
   ExpectNeighborsEqual(
-      KnnSearch(h.store, "user0", probe, 25, {}, {}, exhaustive),
+      Knn(executor, "user0", probe, 25, {}, {}, exhaustive),
       KnnSearchReference(h.store, "user0", probe, 25, {}, {}, exhaustive),
       "exhaustive");
 }
@@ -325,7 +331,7 @@ TEST(CombinedRequestTest, SubstringPlusDataOnSmallLog) {
 
 TEST(PlannerGeneratorTest, PicksCheapestGenerator) {
   Harness& h = BigLog();
-  MetaQueryPlanner planner(&h.store);
+  MetaQueryExecutor executor(&h.store);
   QueryRecord probe = storage::BuildRecordFromText(
       kProbes[0], "user0", 0, storage::SignatureMode::kTransient);
 
@@ -334,13 +340,13 @@ TEST(PlannerGeneratorTest, PicksCheapestGenerator) {
   FeatureQuery feature;
   feature.UsesTable("WaterSalinity");
   combined.WithFeature(feature).SimilarTo(probe).Limit(5);
-  EXPECT_EQ(planner.Execute("user0", combined).generator,
+  EXPECT_EQ(executor.Execute("user0", combined).generator,
             CandidateGenerator::kPostingIntersection);
 
   // Similarity alone on a big log: LSH buckets.
   MetaQueryRequest knn_only;
   knn_only.SimilarTo(probe).Limit(5);
-  EXPECT_EQ(planner.Execute("user0", knn_only).generator,
+  EXPECT_EQ(executor.Execute("user0", knn_only).generator,
             CandidateGenerator::kLshBuckets);
 
   // Similarity with LSH disabled: the table-posting union.
@@ -348,13 +354,13 @@ TEST(PlannerGeneratorTest, PicksCheapestGenerator) {
   CandidateOptions no_lsh;
   no_lsh.use_lsh = false;
   exhaustive.SimilarTo(probe, {}, no_lsh).Limit(5);
-  EXPECT_EQ(planner.Execute("user0", exhaustive).generator,
+  EXPECT_EQ(executor.Execute("user0", exhaustive).generator,
             CandidateGenerator::kTableUnion);
 
   // Substring alone: nothing indexed, full scan.
   MetaQueryRequest substring_only;
   substring_only.WithSubstring("temp").InLogOrder();
-  MetaQueryResponse scan = planner.Execute("user0", substring_only);
+  MetaQueryResponse scan = executor.Execute("user0", substring_only);
   EXPECT_EQ(scan.generator, CandidateGenerator::kFullScan);
   EXPECT_EQ(scan.candidates_considered, h.store.size());
 }
@@ -367,21 +373,23 @@ TEST(VisibilityCacheInvalidationTest, CachedViewerRechecksAfterGroupChange) {
   h.store.AddUser("eve", {"other"});
   QueryId q = h.Log("alice", "SELECT * FROM WaterTemp WHERE temp < 20");
   MetaQueryExecutor executor(&h.store);
+  MetaQueryRequest keyword;
+  keyword.WithKeywords("watertemp");
 
   // Cache eve's (negative) decision.
-  EXPECT_TRUE(executor.Keyword("eve", "watertemp").empty());
-  EXPECT_TRUE(executor.Knn("eve", *h.store.Get(q), 5).empty());
+  EXPECT_TRUE(LogOrderIds(executor, "eve", keyword).empty());
+  EXPECT_TRUE(Knn(executor, "eve", *h.store.Get(q), 5).empty());
 
   // eve joins alice's group: the cached decision must be re-checked.
   h.store.AddUser("eve", {"lab"});
-  EXPECT_EQ(executor.Keyword("eve", "watertemp"), (std::vector<QueryId>{q}));
-  EXPECT_FALSE(executor.Knn("eve", *h.store.Get(q), 5).empty());
+  EXPECT_EQ(LogOrderIds(executor, "eve", keyword), (std::vector<QueryId>{q}));
+  EXPECT_FALSE(Knn(executor, "eve", *h.store.Get(q), 5).empty());
 
   // Owner makes the query private: cached positive must drop too.
   ASSERT_TRUE(
       h.store.SetVisibility(q, "alice", storage::Visibility::kPrivate).ok());
-  EXPECT_TRUE(executor.Keyword("eve", "watertemp").empty());
-  EXPECT_EQ(executor.Keyword("alice", "watertemp"),
+  EXPECT_TRUE(LogOrderIds(executor, "eve", keyword).empty());
+  EXPECT_EQ(LogOrderIds(executor, "alice", keyword),
             (std::vector<QueryId>{q}));  // owners always see their own
 }
 
@@ -402,7 +410,7 @@ TEST(ScoringColumnsCoherenceTest, MutationsKeepPlannerEqualToReference) {
       storage::SignatureMode::kTransient);
 
   auto check = [&](const std::string& label) {
-    ExpectNeighborsEqual(executor.Knn("alice", probe, 10),
+    ExpectNeighborsEqual(Knn(executor, "alice", probe, 10),
                          KnnSearchReference(h.store, "alice", probe, 10),
                          label);
   };
@@ -413,7 +421,7 @@ TEST(ScoringColumnsCoherenceTest, MutationsKeepPlannerEqualToReference) {
 
   ASSERT_TRUE(h.store.AddFlag(ids[0], storage::kFlagObsolete).ok());
   check("after AddFlag");
-  for (const Neighbor& n : executor.Knn("alice", probe, 10)) {
+  for (const Neighbor& n : Knn(executor, "alice", probe, 10)) {
     EXPECT_NE(n.id, ids[0]);
   }
 
@@ -422,7 +430,7 @@ TEST(ScoringColumnsCoherenceTest, MutationsKeepPlannerEqualToReference) {
 
   ASSERT_TRUE(h.store.Delete(ids[2], "alice").ok());
   check("after Delete");
-  for (const Neighbor& n : executor.Knn("alice", probe, 10)) {
+  for (const Neighbor& n : Knn(executor, "alice", probe, 10)) {
     EXPECT_NE(n.id, ids[2]);
   }
 
@@ -433,9 +441,12 @@ TEST(ScoringColumnsCoherenceTest, MutationsKeepPlannerEqualToReference) {
   check("after RewriteQueryText");
   EXPECT_EQ(h.store.scoring().popularity(ids[1]),
             h.store.PopularityOf(h.store.Get(ids[1])->fingerprint));
-  EXPECT_EQ(executor.Substring("bob", "watersalinity"),
+  MetaQueryRequest salinity, temp;
+  salinity.WithSubstring("watersalinity");
+  temp.WithSubstring("temp < 21");
+  EXPECT_EQ(LogOrderIds(executor, "bob", salinity),
             (std::vector<QueryId>{ids[1]}));
-  EXPECT_TRUE(executor.Substring("bob", "temp < 21").empty());
+  EXPECT_TRUE(LogOrderIds(executor, "bob", temp).empty());
 
   // Stats refresh path: summary replaced through SyncOutputSignature.
   QueryRecord* r = h.store.GetMutable(ids[3]);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "metaquery/meta_query_executor.h"
+#include "metaquery_oracles.h"
 #include "sql/parser.h"
 #include "test_util.h"
 
@@ -81,41 +82,56 @@ class MetaQueryFixture : public ::testing::Test {
     executor_ = std::make_unique<MetaQueryExecutor>(&h_->store);
   }
 
+  // A class 1-3 meta-query: `request` in log order, flagged queries kept.
+  std::vector<QueryId> Ids(const std::string& viewer,
+                           const MetaQueryRequest& request) {
+    return LogOrderIds(*executor_, viewer, request);
+  }
+  // Class 4 with a transient probe built from SQL text.
+  std::vector<Neighbor> KnnText(const std::string& viewer,
+                                const std::string& sql_text, size_t k) {
+    storage::QueryRecord probe = storage::BuildRecordFromText(
+        sql_text, viewer, 0, storage::SignatureMode::kTransient);
+    EXPECT_FALSE(probe.parse_failed()) << sql_text;
+    return Knn(*executor_, viewer, probe, k);
+  }
+
   std::unique_ptr<Harness> h_;
   std::unique_ptr<MetaQueryExecutor> executor_;
   QueryId correlate_, city_, agg_, nested_;
 };
 
 TEST_F(MetaQueryFixture, KeywordSearchMatchesAllWords) {
-  auto ids = executor_->Keyword("alice", "salinity temp");
+  auto ids = Ids("alice", MetaQueryRequest().WithKeywords("salinity temp"));
   EXPECT_EQ(ids, (std::vector<QueryId>{correlate_}));
   // match-any unions.
-  auto any = executor_->Keyword("alice", "salinity city", /*match_all=*/false);
+  auto any = Ids("alice", MetaQueryRequest().WithKeywords(
+                              "salinity city", /*match_all=*/false));
   EXPECT_EQ(any.size(), 2u);
 }
 
 TEST_F(MetaQueryFixture, KeywordSearchRespectsAcl) {
-  auto ids = executor_->Keyword("eve", "salinity");
+  auto ids = Ids("eve", MetaQueryRequest().WithKeywords("salinity"));
   EXPECT_TRUE(ids.empty());  // eve shares no group with alice
 }
 
 TEST_F(MetaQueryFixture, SubstringSearch) {
-  auto ids = executor_->Substring("bob", "ORDER BY pop");
+  auto ids = Ids("bob", MetaQueryRequest().WithSubstring("ORDER BY pop"));
   EXPECT_EQ(ids, (std::vector<QueryId>{city_}));
-  EXPECT_TRUE(executor_->Substring("bob", "zzz").empty());
+  EXPECT_TRUE(Ids("bob", MetaQueryRequest().WithSubstring("zzz")).empty());
 }
 
 TEST_F(MetaQueryFixture, FeatureQueryByTableAndPredicate) {
   FeatureQuery q;
   q.UsesTable("WaterTemp").HasPredicateOn("watertemp", "temp", "<");
-  auto ids = executor_->ByFeature("alice", q);
+  auto ids = Ids("alice", MetaQueryRequest().WithFeature(q));
   EXPECT_EQ(ids, (std::vector<QueryId>{correlate_}));
 }
 
 TEST_F(MetaQueryFixture, FeatureQueryRuntimeConditions) {
   FeatureQuery q;
   q.UsesTable("CityLocations").SucceededOnly().MinResultRows(1);
-  auto ids = executor_->ByFeature("bob", q);
+  auto ids = Ids("bob", MetaQueryRequest().WithFeature(q));
   EXPECT_EQ(ids, (std::vector<QueryId>{city_}));
 }
 
@@ -158,29 +174,30 @@ TEST_F(MetaQueryFixture, GeneratedMetaQueryRequiresTables) {
 TEST_F(MetaQueryFixture, StructuralSearchByJoinsAndAggregates) {
   StructuralPattern joins;
   joins.min_joins = 1;
-  auto ids = executor_->ByStructure("alice", joins);
+  auto ids = Ids("alice", MetaQueryRequest().WithStructure(joins));
   EXPECT_EQ(ids, (std::vector<QueryId>{correlate_}));
 
   StructuralPattern agg;
   agg.required_aggregates = {"AVG"};
   agg.requires_group_by = true;
-  EXPECT_EQ(executor_->ByStructure("alice", agg),
+  EXPECT_EQ(Ids("alice", MetaQueryRequest().WithStructure(agg)),
             (std::vector<QueryId>{agg_}));
 
   StructuralPattern nested;
   nested.requires_subquery = true;
-  EXPECT_EQ(executor_->ByStructure("alice", nested),
+  EXPECT_EQ(Ids("alice", MetaQueryRequest().WithStructure(nested)),
             (std::vector<QueryId>{nested_}));
 
   StructuralPattern skel;
   skel.required_predicate_skeletons = {"watertemp.temp < ?"};
-  EXPECT_EQ(executor_->ByStructure("alice", skel),
+  EXPECT_EQ(Ids("alice", MetaQueryRequest().WithStructure(skel)),
             (std::vector<QueryId>{correlate_}));
 
   StructuralPattern forbidden;
   forbidden.required_tables = {"watertemp"};
   forbidden.forbidden_tables = {"watersalinity"};
-  auto no_salinity = executor_->ByStructure("alice", forbidden);
+  auto no_salinity =
+      Ids("alice", MetaQueryRequest().WithStructure(forbidden));
   EXPECT_EQ(no_salinity, (std::vector<QueryId>{agg_, nested_}));
 }
 
@@ -190,12 +207,13 @@ TEST_F(MetaQueryFixture, QueryByDataPositiveAndNegative) {
   examples.push_back({{db::Value::String("Seattle")}, true});
   QueryByDataOptions opts;
   opts.reexecute_on = &h_->database;
-  auto ids = executor_->ByData("bob", examples, opts);
+  auto ids = Ids("bob", MetaQueryRequest().WithData(examples, opts));
   EXPECT_EQ(ids, (std::vector<QueryId>{city_}));
 
   // Negative example: exclude Seattle -> the city query drops out.
   examples.push_back({{db::Value::String("Seattle")}, false});
-  EXPECT_TRUE(executor_->ByData("bob", examples, opts).empty());
+  EXPECT_TRUE(
+      Ids("bob", MetaQueryRequest().WithData(examples, opts)).empty());
 }
 
 TEST_F(MetaQueryFixture, QueryByDataLakeWashingtonScenario) {
@@ -209,38 +227,30 @@ TEST_F(MetaQueryFixture, QueryByDataLakeWashingtonScenario) {
   // Log a query that provably matches (includes Washington, not Union).
   QueryId filtered = h_->Log(
       "alice", "SELECT lake FROM WaterTemp WHERE lake = 'Washington'");
-  auto ids = executor_->ByData("alice", examples, opts);
+  auto ids = Ids("alice", MetaQueryRequest().WithData(examples, opts));
   EXPECT_NE(std::find(ids.begin(), ids.end(), filtered), ids.end());
   // The per-lake aggregate outputs Union too, so it must be excluded.
   EXPECT_EQ(std::find(ids.begin(), ids.end(), agg_), ids.end());
 }
 
 TEST_F(MetaQueryFixture, KnnFindsStructuralNeighbors) {
-  auto neighbors = executor_->KnnText(
+  auto neighbors = KnnText(
       "alice",
       "SELECT T.temp FROM WaterSalinity S, WaterTemp T WHERE "
       "S.loc_x = T.loc_x AND T.temp < 20",
       2);
-  ASSERT_TRUE(neighbors.ok());
-  ASSERT_FALSE(neighbors->empty());
-  EXPECT_EQ((*neighbors)[0].id, correlate_);
-  EXPECT_GT((*neighbors)[0].similarity, 0.5);
+  ASSERT_FALSE(neighbors.empty());
+  EXPECT_EQ(neighbors[0].id, correlate_);
+  EXPECT_GT(neighbors[0].similarity, 0.5);
 }
 
 TEST_F(MetaQueryFixture, KnnRespectsAclAndFlags) {
-  auto for_eve = executor_->KnnText("eve", "SELECT * FROM WaterTemp", 5);
-  ASSERT_TRUE(for_eve.ok());
-  EXPECT_TRUE(for_eve->empty());
+  EXPECT_TRUE(KnnText("eve", "SELECT * FROM WaterTemp", 5).empty());
 
   ASSERT_TRUE(h_->store.AddFlag(agg_, storage::kFlagObsolete).ok());
-  auto neighbors = executor_->KnnText(
+  auto neighbors = KnnText(
       "alice", "SELECT lake, AVG(temp) FROM WaterTemp GROUP BY lake", 10);
-  ASSERT_TRUE(neighbors.ok());
-  for (const Neighbor& n : *neighbors) EXPECT_NE(n.id, agg_);
-}
-
-TEST_F(MetaQueryFixture, KnnUnparsableProbeFails) {
-  EXPECT_FALSE(executor_->KnnText("alice", "SELEKT", 3).ok());
+  for (const Neighbor& n : neighbors) EXPECT_NE(n.id, agg_);
 }
 
 TEST(RowMatchTest, SubsetSemantics) {

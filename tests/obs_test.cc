@@ -13,8 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "metaquery/meta_query_planner.h"
-#include "metaquery/text_search.h"
+#include "metaquery_oracles.h"
 #include "net/wire.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -28,7 +27,7 @@ namespace cqms {
 namespace {
 
 using metaquery::CandidateGenerator;
-using metaquery::MetaQueryPlanner;
+using metaquery::MetaQueryExecutor;
 using metaquery::MetaQueryRequest;
 using metaquery::MetaQueryResponse;
 using testing_util::Harness;
@@ -397,15 +396,15 @@ Harness& TraceLog() {
 MetaQueryResponse RunTraced(const MetaQueryRequest& request,
                             const std::string& viewer, obs::ExecTrace* trace) {
   Harness& h = TraceLog();
-  MetaQueryPlanner planner(&h.store);
+  MetaQueryExecutor executor(&h.store);
 
   MetaQueryRequest untraced = request;
   untraced.trace = nullptr;
-  MetaQueryResponse base = planner.Execute(viewer, untraced);
+  MetaQueryResponse base = executor.Execute(viewer, untraced);
 
   MetaQueryRequest traced = request;
   traced.trace = trace;
-  MetaQueryResponse resp = planner.Execute(viewer, traced);
+  MetaQueryResponse resp = executor.Execute(viewer, traced);
 
   // Tracing must not change results.
   EXPECT_EQ(resp.Ids(), base.Ids());
@@ -443,13 +442,13 @@ TEST(TraceCorrectnessTest, PostingIntersectionPath) {
   MetaQueryResponse resp = RunTraced(req, "user1", &trace);
   EXPECT_EQ(resp.generator, CandidateGenerator::kPostingIntersection);
 
-  // Oracle recount: the legacy keyword entry point returns the same
-  // matches in log order; its size is the trace's "matches".
+  // Oracle recount: the reference keyword scan returns the same matches
+  // in log order; its size is the trace's "matches".
   Harness& h = TraceLog();
-  std::vector<storage::QueryId> legacy =
+  std::vector<storage::QueryId> reference =
       metaquery::KeywordSearch(h.store, "user1", "lake temp", true);
-  EXPECT_EQ(trace.CounterOr("matches"), legacy.size());
-  EXPECT_EQ(resp.Ids(), legacy);
+  EXPECT_EQ(trace.CounterOr("matches"), reference.size());
+  EXPECT_EQ(resp.Ids(), reference);
 }
 
 TEST(TraceCorrectnessTest, LshBucketsPath) {
@@ -469,7 +468,7 @@ TEST(TraceCorrectnessTest, LshBucketsPath) {
   // Oracle recount: the shared generator must report the same candidate
   // set size the trace recorded.
   metaquery::KnnCandidates cands =
-      metaquery::KnnCandidateIds(h.store, probe, copts);
+      metaquery::KnnCandidateIds(storage::StoreView(h.store), probe, copts);
   EXPECT_EQ(cands.source, metaquery::KnnCandidateSource::kLshBuckets);
   EXPECT_EQ(trace.CounterOr("candidates"), cands.ids.size());
 }
@@ -489,7 +488,7 @@ TEST(TraceCorrectnessTest, TableUnionPath) {
   EXPECT_EQ(resp.generator, CandidateGenerator::kTableUnion);
 
   metaquery::KnnCandidates cands =
-      metaquery::KnnCandidateIds(h.store, probe, copts);
+      metaquery::KnnCandidateIds(storage::StoreView(h.store), probe, copts);
   EXPECT_EQ(cands.source, metaquery::KnnCandidateSource::kTableUnion);
   EXPECT_EQ(trace.CounterOr("candidates"), cands.ids.size());
 }
@@ -514,8 +513,7 @@ TEST(TraceCorrectnessTest, PlannerRegistrySeriesAdvance) {
   MetaQueryRequest req;
   req.WithKeywords("lake", true);
   Harness& h = TraceLog();
-  MetaQueryPlanner planner(&h.store);
-  planner.Execute("user1", req);
+  MetaQueryExecutor(&h.store).Execute("user1", req);
   EXPECT_EQ(queries->value(), before + 1);
 }
 

@@ -207,6 +207,64 @@ TEST(ServerTest, SearchMatchesInProcessOracle) {
   EXPECT_EQ(*browse, fx.cqms.BrowseLog("alice"));
 }
 
+TEST(ServerTest, RecommendMatchesInProcessOracle) {
+  ServerFixture fx({}, 24, /*start=*/false);
+  // Duplicate fingerprints: texts already in the log, logged again by
+  // both users; one duplicate carries its own annotation.
+  for (const char* user : {"alice", "bob"}) {
+    fx.cqms.Execute(user, "SELECT * FROM Sensors WHERE sensor_id < 1");
+    fx.cqms.Execute(user, "SELECT lake, temp FROM WaterTemp WHERE temp > 2");
+  }
+  ASSERT_TRUE(fx.cqms.Annotate(27, "bob", "duplicate with a note").ok());
+  ASSERT_TRUE(fx.server->Start().ok());
+  auto client = fx.Client();
+  ASSERT_NE(client, nullptr);
+
+  const char* probes[] = {
+      "SELECT * FROM Sensors WHERE sensor_id < 3",
+      "SELECT lake, temp FROM WaterTemp WHERE temp > 4",
+      "SELECT city FROM CityLocations WHERE pop > 10",
+  };
+  for (const char* viewer : {"alice", "bob"}) {
+    for (const char* text : probes) {
+      for (uint32_t k : {1u, 3u, 5u, 10u}) {
+        auto wire = client->Recommend(viewer, text, k);
+        auto oracle = fx.cqms.Recommend(viewer, text, k);
+        ASSERT_TRUE(wire.ok()) << wire.status();
+        ASSERT_TRUE(oracle.ok()) << oracle.status();
+        ASSERT_EQ(wire->items.size(), oracle->size()) << text << " k=" << k;
+        for (size_t i = 0; i < oracle->size(); ++i) {
+          const net::RecommendationItem& got = wire->items[i];
+          const assist::Recommendation& want = (*oracle)[i];
+          EXPECT_EQ(got.id, want.id);
+          EXPECT_EQ(got.score, want.score);
+          EXPECT_EQ(got.similarity, want.similarity);
+          EXPECT_EQ(got.text, want.text);
+          EXPECT_EQ(got.diff, want.diff);
+          EXPECT_EQ(got.annotation, want.annotation);
+        }
+      }
+    }
+  }
+  // The duplicates were collapsed, not returned twice.
+  auto sensors = fx.cqms.Recommend("alice", probes[0], 10);
+  ASSERT_TRUE(sensors.ok());
+  for (size_t i = 0; i < sensors->size(); ++i) {
+    for (size_t j = i + 1; j < sensors->size(); ++j) {
+      EXPECT_NE((*sensors)[i].text, (*sensors)[j].text);
+    }
+  }
+
+  // Unparsable text: the same typed error both ways.
+  auto wire = client->Recommend("alice", "SELEKT nonsense FROM", 5);
+  auto oracle = fx.cqms.Recommend("alice", "SELEKT nonsense FROM", 5);
+  ASSERT_FALSE(wire.ok());
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_EQ(wire.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(oracle.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(wire.status().message(), oracle.status().message());
+}
+
 TEST(ServerTest, WriteOpsLandInTheStore) {
   ServerFixture fx;
   auto client = fx.Client();

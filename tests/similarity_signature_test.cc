@@ -12,6 +12,7 @@
 #include "common/interner.h"
 #include "maintain/query_maintenance.h"
 #include "metaquery/knn.h"
+#include "metaquery_oracles.h"
 #include "storage/record_builder.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
@@ -169,7 +170,7 @@ TEST(SimilaritySignatureTest, KnnMatchesBruteForceReference) {
     QueryRecord probe = storage::BuildRecordFromText(sql, "user0", 0);
     ASSERT_FALSE(probe.parse_failed()) << sql;
     for (size_t k : {1u, 10u, 50u}) {
-      std::vector<Neighbor> fast = KnnSearch(h.store, "user0", probe, k);
+      std::vector<Neighbor> fast = Knn(MetaQueryExecutor(&h.store), "user0", probe, k);
       std::vector<Neighbor> reference = ReferenceKnn(h.store, "user0", probe, k,
                                                      {}, {});
       ASSERT_EQ(fast.size(), reference.size()) << sql << " k=" << k;
@@ -195,8 +196,8 @@ TEST(SimilaritySignatureTest, KnnDeterministicAndRanked) {
 
   QueryRecord probe = storage::BuildRecordFromText(
       "SELECT T.temp FROM WaterTemp T WHERE T.temp < 18", "user1", 0);
-  std::vector<Neighbor> first = KnnSearch(h.store, "user1", probe, 10);
-  std::vector<Neighbor> second = KnnSearch(h.store, "user1", probe, 10);
+  std::vector<Neighbor> first = Knn(MetaQueryExecutor(&h.store), "user1", probe, 10);
+  std::vector<Neighbor> second = Knn(MetaQueryExecutor(&h.store), "user1", probe, 10);
   ASSERT_FALSE(first.empty());
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
